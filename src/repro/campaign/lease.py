@@ -520,6 +520,8 @@ def run_worker(
     from repro.campaign.executor import _Coordinator, _make_policy
 
     policy = _make_policy(policy, policy_overrides)
+    # One reader for the whole run: each merged read below decodes only the
+    # records appended since the previous one.
     store = ResultStore.open(store_path)
     if spec is None:
         if task is None:
@@ -756,12 +758,12 @@ def run_worker(
     telemetry.finish()
     if report.complete and try_finalize(ldir, worker):
         report.finalized = True
-        merged = store.merged_point_records()
+        merged = store.merged_status()
         summary = telemetry.to_dict()
         summary["merged"] = {
-            "done": sum(1 for r in merged if r["status"] == "ok"),
-            "failed": sum(1 for r in merged if r["status"] == "failed"),
-            "shards": len(store.shard_paths()),
+            "done": merged["done"],
+            "failed": merged["failed"],
+            "shards": merged["shards"],
             "finalized_by": worker,
         }
         # Election makes this the store's only post-header writer.

@@ -38,6 +38,25 @@ prefers ``ok`` over ``failed`` and otherwise the first file in
 deterministic order (main store first, shards sorted by name).  A worker
 killed mid-campaign leaves its shard behind; its completed points survive
 and its replacement — a different worker id — gets a fresh shard.
+
+Tail-following reads
+--------------------
+:meth:`ResultStore.records` decodes a whole file on every call, and
+:meth:`~ResultStore.header` reads only the first line.  The record views
+(:meth:`~ResultStore.point_records`, :meth:`~ResultStore.status` and the
+merged views) share one tail-following reader instead.  Per file it keeps the byte offset just past the last newline and the file's
+(device, inode).  A refresh decodes only the lines appended since, and only
+those that end in a newline, so a line still being written is never read
+half-way.  A file that was replaced (new device or inode), or no longer
+has a newline just before the offset (it shrank, or was rewritten in
+place), is read again from byte 0.  An undecodable line is
+tolerated while it is its file's last complete line; once another line
+follows it, the file is corrupt and the merged views skip it (views of the
+main store itself, and :meth:`~ResultStore.merged_status`, raise
+:class:`StoreCorruptError` for a corrupt main store).  One refresh costs a
+directory listing of the shards, one open and ``fstat`` per file, and the
+decode of the new lines, so a worker that keeps its instance decodes each
+record about once over a whole campaign.
 """
 
 from __future__ import annotations
@@ -69,6 +88,61 @@ def _encode(record: Mapping[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _Tail:
+    """What one store file's newline-terminated lines have said so far.
+
+    ``offset`` is the byte just past the last newline consumed; a line
+    still being appended (no newline yet) waits for a later refresh.
+    """
+
+    __slots__ = (
+        "identity", "offset", "lines", "points", "counts", "summary", "bad_line", "corrupt"
+    )
+
+    def __init__(self, identity: tuple[int, int]):
+        self.identity = identity  # (st_dev, st_ino)
+        self.offset = 0
+        self.lines = 0
+        self.points: dict[str, dict[str, Any]] = {}  # id -> last point record
+        self.counts: dict[str, int] = {}  # id -> point records in this file
+        self.summary: dict[str, Any] | None = None  # last summary record
+        self.bad_line = 0  # undecodable line, tolerated while it is the last
+        self.corrupt: str | None = None  # why the file is skipped
+
+    def consume(self, text: str, path: Path) -> list[str]:
+        """Decode the newline-terminated lines of ``text``; the point ids they touch."""
+        changed: list[str] = []
+        for raw in text.split("\n")[:-1]:
+            self.lines += 1
+            if self.bad_line:
+                self.corrupt = f"{path}: undecodable record at line {self.bad_line}"
+                break
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                self.bad_line = self.lines
+                continue
+            if not isinstance(record, dict):
+                self.corrupt = f"{path}: line {self.lines} is not a JSON object"
+                break
+            kind = record.get("kind")
+            if kind == "point":
+                if "id" not in record or "status" not in record:
+                    self.corrupt = f"{path}: line {self.lines} is not a point record"
+                    break
+                pid = record["id"]
+                self.points[pid] = record
+                self.counts[pid] = self.counts.get(pid, 0) + 1
+                changed.append(pid)
+            elif kind == "summary":
+                self.summary = record
+        if self.corrupt:
+            changed.extend(self.points)  # they all leave the merge
+        return changed
+
+
 class ResultStore:
     """Append-only JSONL store for one campaign's results.
 
@@ -76,11 +150,21 @@ class ResultStore:
     :meth:`open` to append to / inspect an existing one.  The instance is a
     context manager; writes go through one buffered append handle that is
     flushed per record and fsynced at checkpoints.
+
+    Reads follow each file's tail: the instance remembers how far it has
+    decoded the main store and every shard, so a repeated read costs only
+    the lines appended since the last one.  Keep one instance per reader
+    (the views are not safe to call from two threads at once).
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._handle: io.TextIOBase | None = None
+        self._tails: dict[Path, _Tail] = {}  # main store and each shard
+        self._merged: dict[str, dict[str, Any]] = {}  # id -> winning record
+        self._terminal: dict[str, int] = {}  # id -> terminal records, all files
+        self._ok: set[str] = set()
+        self._failed: set[str] = set()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -224,7 +308,11 @@ class ResultStore:
     # -- reading -----------------------------------------------------------------
 
     def records(self) -> Iterator[dict[str, Any]]:
-        """Every decodable record, tolerating one truncated final line."""
+        """Every decodable record, tolerating one truncated final line.
+
+        The full-read primitive: it decodes the whole file on every call.
+        The views below follow the file's tail instead.
+        """
         with self.path.open("r") as handle:
             lines = handle.readlines()
         for index, line in enumerate(lines):
@@ -246,17 +334,21 @@ class ResultStore:
             yield record
 
     def header(self) -> dict[str, Any]:
-        """The campaign header record."""
-        for record in self.records():
-            if record.get("kind") != "campaign":
-                break
-            if record.get("version") != FORMAT_VERSION:
-                raise StoreCorruptError(
-                    f"{self.path}: unsupported store version "
-                    f"{record.get('version')!r}"
-                )
-            return record
-        raise StoreCorruptError(f"{self.path}: missing campaign header line")
+        """The campaign header record (the file's first line only)."""
+        with self.path.open("rb") as handle:
+            line = handle.readline()
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if not isinstance(record, dict) or record.get("kind") != "campaign":
+            raise StoreCorruptError(f"{self.path}: missing campaign header line")
+        if record.get("version") != FORMAT_VERSION:
+            raise StoreCorruptError(
+                f"{self.path}: unsupported store version "
+                f"{record.get('version')!r}"
+            )
+        return record
 
     def spec_data(self) -> dict[str, Any]:
         """The raw spec JSON from the header (``task`` may be ``None``)."""
@@ -280,38 +372,101 @@ class ResultStore:
             )
         return CampaignSpec.from_json(data)
 
-    def point_records(self) -> list[dict[str, Any]]:
-        """Terminal point records, de-duplicated (last record per id wins)."""
-        by_id: dict[str, dict[str, Any]] = {}
-        for record in self.records():
-            if record.get("kind") == "point":
-                by_id[record["id"]] = record
-        return list(by_id.values())
+    # -- tail-following reader -----------------------------------------------------
 
-    def completed_ids(self, include_failed: bool = True) -> set[str]:
-        """Point ids resume() should skip.
+    def _follow(self, path: Path) -> list[str]:
+        """Decode the complete lines ``path`` gained since the last call.
 
-        ``include_failed=False`` treats terminally-failed points as pending
-        so a resume retries them.
+        Returns the point ids whose record in that file may have changed,
+        in file order.  A file that was replaced (new device or inode), or
+        no longer has a newline just before the offset (it shrank, or was
+        rewritten in place), is read again from byte 0.  An ``OSError``
+        leaves the reader's state untouched.
         """
-        out = set()
-        for record in self.point_records():
-            if record["status"] == "ok" or (
-                include_failed and record["status"] == "failed"
-            ):
-                out.add(record["id"])
-        return out
+        tail = self._tails.get(path)
+        with path.open("rb") as handle:
+            info = os.fstat(handle.fileno())
+            identity = (info.st_dev, info.st_ino)
+            fresh = tail is None or tail.identity != identity
+            if not fresh and tail.offset:
+                handle.seek(tail.offset - 1)
+                fresh = handle.read(1) != b"\n"  # shrank, or rewritten in place
+            if not fresh and tail.corrupt:
+                return []
+            handle.seek(0 if fresh else tail.offset)
+            data = handle.read()
+        changed: list[str] = []
+        if fresh:
+            if tail is not None:
+                changed.extend(tail.points)
+            tail = self._tails[path] = _Tail(identity)
+        end = data.rfind(b"\n") + 1
+        tail.offset += end
+        changed += tail.consume(data[:end].decode("utf-8", "replace"), path)
+        return changed
 
-    def status(self) -> dict[str, Any]:
-        """Progress snapshot: header fields + done/failed/pending counts."""
+    def _refresh(self) -> _Tail:
+        """Follow the main store and every shard, then re-merge the point
+        ids that changed; returns the main store's tail.
+
+        An ``OSError`` on the main store propagates; a shard that cannot be
+        read, or has gone, contributes nothing.
+        """
+        changed = self._follow(self.path)
+        present = {self.path}
+        for path in self.shard_paths():
+            try:
+                changed += self._follow(path)
+            except OSError:
+                continue
+            present.add(path)
+        for path in [p for p in self._tails if p not in present]:
+            changed.extend(self._tails.pop(path).points)
+        if changed:
+            self._merge(changed)
+        return self._tails[self.path]
+
+    def _merge(self, ids: list[str]) -> None:
+        """Re-pick each id's record across the files that are not corrupt."""
+        files = [
+            tail
+            for path, tail in sorted(
+                self._tails.items(), key=lambda item: (item[0] != self.path, item[0])
+            )
+            if not tail.corrupt
+        ]
+        for pid in ids:
+            best = None
+            count = 0
+            for tail in files:
+                record = tail.points.get(pid)
+                if record is None:
+                    continue
+                count += tail.counts[pid]
+                if best is None or (best["status"] != "ok" and record["status"] == "ok"):
+                    best = record
+            self._ok.discard(pid)
+            self._failed.discard(pid)
+            if best is None:
+                self._merged.pop(pid, None)
+                self._terminal.pop(pid, None)
+                continue
+            self._merged[pid] = best
+            self._terminal[pid] = count
+            if best["status"] == "ok":
+                self._ok.add(pid)
+            elif best["status"] == "failed":
+                self._failed.add(pid)
+
+    def _own(self) -> _Tail:
+        """The main store's tail, brought up to date; raises if it is corrupt."""
+        tail = self._refresh()
+        if tail.corrupt:
+            raise StoreCorruptError(tail.corrupt)
+        return tail
+
+    def _snapshot(self, tail: _Tail, done: int, failed: int) -> dict[str, Any]:
         header = self.header()
-        points = self.point_records()
-        done = sum(1 for r in points if r["status"] == "ok")
-        failed = sum(1 for r in points if r["status"] == "failed")
-        summary = None
-        for record in self.records():
-            if record.get("kind") == "summary":
-                summary = record
         total = int(header.get("points") or 0)
         return {
             "name": header.get("name"),
@@ -321,8 +476,33 @@ class ResultStore:
             "failed": failed,
             "pending": max(total - done - failed, 0),
             "complete": total > 0 and done + failed >= total,
-            "summary": summary,
+            "summary": tail.summary,
         }
+
+    # -- single-file views -----------------------------------------------------------
+
+    def point_records(self) -> list[dict[str, Any]]:
+        """Terminal point records, de-duplicated (last record per id wins)."""
+        return list(self._own().points.values())
+
+    def completed_ids(self, include_failed: bool = True) -> set[str]:
+        """Point ids resume() should skip.
+
+        ``include_failed=False`` treats terminally-failed points as pending
+        so a resume retries them.
+        """
+        return {
+            pid
+            for pid, record in self._own().points.items()
+            if record["status"] == "ok"
+            or (include_failed and record["status"] == "failed")
+        }
+
+    def status(self) -> dict[str, Any]:
+        """Progress snapshot: header fields + done/failed/pending counts."""
+        tail = self._own()
+        statuses = [record["status"] for record in tail.points.values()]
+        return self._snapshot(tail, statuses.count("ok"), statuses.count("failed"))
 
     # -- multi-writer merge (lease-scheduler shards) -------------------------------
 
@@ -341,23 +521,12 @@ class ResultStore:
         files an ``ok`` record beats a ``failed`` one; between records of
         equal status the earliest file in deterministic order wins (main
         store first, then shards sorted by name), which makes the merge
-        independent of filesystem enumeration order.
+        independent of filesystem enumeration order.  A file with a corrupt
+        line before its last is skipped.  The list is in the order this
+        reader first saw each id; key it by ``"id"``.
         """
-        merged: dict[str, dict[str, Any]] = {}
-        sources = [self.path, *self.shard_paths()]
-        for path in sources:
-            try:
-                per_file = ResultStore(path).point_records()
-            except (OSError, StoreCorruptError):
-                continue
-            for record in per_file:
-                pid = record["id"]
-                held = merged.get(pid)
-                if held is None:
-                    merged[pid] = record
-                elif held["status"] != "ok" and record["status"] == "ok":
-                    merged[pid] = record
-        return list(merged.values())
+        self._refresh()
+        return list(self._merged.values())
 
     def terminal_record_counts(self) -> dict[str, int]:
         """``point id -> number of terminal records`` across store + shards.
@@ -367,39 +536,17 @@ class ResultStore:
         workers finish the same point (the CI smoke asserts this is empty
         after a worker SIGKILL).
         """
-        counts: dict[str, int] = {}
-        for path in [self.path, *self.shard_paths()]:
-            try:
-                records = ResultStore(path).records()
-                for record in records:
-                    if record.get("kind") == "point":
-                        counts[record["id"]] = counts.get(record["id"], 0) + 1
-            except (OSError, StoreCorruptError):
-                continue
-        return counts
+        self._refresh()
+        return dict(self._terminal)
 
     def merged_completed_ids(self, include_failed: bool = True) -> set[str]:
         """Point ids a resume/worker should skip, across store + shards."""
-        out = set()
-        for record in self.merged_point_records():
-            if record["status"] == "ok" or (
-                include_failed and record["status"] == "failed"
-            ):
-                out.add(record["id"])
-        return out
+        self._refresh()
+        return self._ok | self._failed if include_failed else set(self._ok)
 
     def merged_status(self) -> dict[str, Any]:
         """Like :meth:`status` but counting points across store + shards."""
-        status = self.status()
-        points = self.merged_point_records()
-        done = sum(1 for r in points if r["status"] == "ok")
-        failed = sum(1 for r in points if r["status"] == "failed")
-        total = int(status["points"] or 0)
-        status.update(
-            done=done,
-            failed=failed,
-            pending=max(total - done - failed, 0),
-            complete=total > 0 and done + failed >= total,
-            shards=len(self.shard_paths()),
-        )
+        tail = self._own()
+        status = self._snapshot(tail, len(self._ok), len(self._failed))
+        status["shards"] = len(self._tails) - 1
         return status

@@ -235,11 +235,18 @@ def _lease_progress(store_path: Path) -> dict[str, int] | None:
     return counts
 
 
-def render(store_path: str | Path, now: float | None = None) -> str:
-    """One dashboard frame as a plain string (no ANSI; raises on a bad path)."""
+def render(store_path: str | Path | ResultStore, now: float | None = None) -> str:
+    """One dashboard frame as a plain string (no ANSI; raises on a bad path).
+
+    Pass an open :class:`ResultStore` to reuse its reader across frames, so
+    each frame decodes only the records appended since the last one.
+    """
     now = time.time() if now is None else now
-    store_path = Path(store_path)
-    store = ResultStore.open(store_path)
+    if isinstance(store_path, ResultStore):
+        store = store_path
+    else:
+        store = ResultStore.open(store_path)
+    store_path = store.path
     status = store.merged_status()
     manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store_path))
     beats = obs_heartbeat.read_heartbeats(obs_heartbeat.heartbeat_dir(store_path))
@@ -392,8 +399,9 @@ def watch(
 ) -> int:
     """Render the dashboard, refreshing in place until complete (or Ctrl-C)."""
     out = sys.stdout if out is None else out
+    store = ResultStore.open(store_path)
     while True:
-        frame = render(store_path)
+        frame = render(store)
         if once:
             print(frame, file=out)
             return 0

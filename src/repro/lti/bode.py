@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro._errors import ConvergenceError, ValidationError
 
@@ -92,6 +91,8 @@ def _refine_crossing(
     func: Callable[[float], float], w_lo: float, w_hi: float
 ) -> float:
     """Bisect a sign change of ``func`` between two frequencies (log-spaced)."""
+    from scipy.optimize import brentq  # on first use: most processes never need scipy
+
     return float(
         math.exp(brentq(lambda lw: func(math.exp(lw)), math.log(w_lo), math.log(w_hi), xtol=1e-13))
     )

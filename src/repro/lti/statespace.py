@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro._errors import ValidationError
 
@@ -141,6 +140,8 @@ class StateSpace:
         """Exact zero-order-hold discretization ``(Ad, Bd)`` for step ``dt``."""
         if dt <= 0:
             raise ValidationError(f"dt must be positive, got {dt}")
+        from scipy.linalg import expm  # on first use: most processes never need scipy
+
         n = self.order
         m = self.B.shape[1]
         aug = np.zeros((n + m, n + m))

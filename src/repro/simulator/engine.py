@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro._errors import LockError, ValidationError
 from repro._validation import check_order, check_positive
@@ -187,6 +186,8 @@ class BehavioralPLLSimulator:
         hit = self._step_cache.get(key)
         if hit is not None:
             return hit
+        from scipy.linalg import expm  # on first use: most processes never need scipy
+
         n = self._a_aug.shape[0]
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n] = self._a_aug

@@ -187,9 +187,15 @@ class TestStoreShardReaderLive:
 
 class TestWriterAtomicity:
     def test_record_event_single_write_lines(self, tmp_path):
-        """The trace sink's own appends are whole-line: a reader polling a
-        live *record_event* writer (not a split-writer) never sees a torn
-        line at all, because each event is one buffered write."""
+        """The trace sink appends whole lines, one write per event.
+
+        A regular-file read is not atomic with a concurrent append, so a
+        reader polling a live *record_event* writer may catch the last
+        line mid-write.  What the sink guarantees, and what the
+        tail-following readers rely on, is that every newline-terminated
+        line parses, and that once the writer stops the file holds exactly
+        one parseable line per event.
+        """
         path = obs_trace.configure_sink(tmp_path / "t.jsonl")
         try:
             ctx = obs_trace.new_context()
@@ -204,16 +210,20 @@ class TestWriterAtomicity:
 
             thread = threading.Thread(target=write_loop, daemon=True)
             thread.start()
-            torn = 0
+            bad = 0
             while not stop.is_set():
                 raw = path.read_text(encoding="utf-8") if path.exists() else ""
-                for line in raw.splitlines():
+                for line in raw[: raw.rfind("\n") + 1].splitlines():
                     try:
                         json.loads(line)
                     except ValueError:
-                        torn += 1
+                        bad += 1
                 time.sleep(0.001)
             thread.join()
-            assert torn == 0
+            assert bad == 0
+            raw = path.read_text(encoding="utf-8")
+            assert raw.endswith("\n")
+            events = [json.loads(line) for line in raw.splitlines()]
+            assert [event["attrs"]["n"] for event in events] == list(range(500))
         finally:
             obs_trace.close_sink()

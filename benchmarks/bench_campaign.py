@@ -1,20 +1,24 @@
-"""Serial-vs-pool campaign throughput — the ``repro.campaign`` engine bench.
+"""Serial vs N lease workers — the ``repro.campaign`` engine bench.
 
 Runs a 220-point stability-map campaign (the ``stability_cell`` task over an
 11 x 20 separation/ratio grid) twice through :func:`run_campaign`: once
-serial, once on a 4-worker process pool with batched dispatch (points per
-future; 0 = the executor's automatic size).  Asserts the two runs produce
-*identical* results point by point — the engine routes both paths through
-the same ``_run_point`` — and reports the wall-clock speedup.
+serial, once on 4 lease workers on this host (``workers=4``: the caller
+plus three forked helpers, ``batch_size`` points per lease; 0 = the
+executor's automatic size).  Asserts the two runs produce *identical*
+results point by point — both paths run the same ``_run_point`` — and
+reports the wall-clock speedup.
 
-The speedup assertion (>= 2.5x with 4 workers) only fires on machines with
-at least 2 CPUs: process pools cannot beat serial execution on a single
-core, and a wrong-by-construction threshold would make the bench useless as
-a regression gate.  Result *identity* is asserted unconditionally.
+The speedup is reported, and asserted (>= 2.5x with 4 workers), only when
+the machine has at least as many CPUs as workers: N workers on fewer cores
+measure the scheduler, not the engine, and a number that cannot be reached
+would make the gate useless.  Result *identity* is asserted on every run.
 
 ``main()`` prints a human summary plus one machine-readable JSON line
 (``kind: "bench_campaign"``) for harness scraping, like
-``bench_grid_eval.py``.  Run with
+``bench_grid_eval.py``.  Its ``pool_seconds`` and ``pool_mode`` keys keep
+their names (they time the N-worker run) so ``repro bench compare`` keeps
+gating against earlier baselines; ``speedup`` is absent when it is not
+reported, which the comparison treats as not gated.  Run with
 ``PYTHONPATH=src python benchmarks/bench_campaign.py`` or through pytest.
 """
 
@@ -33,7 +37,7 @@ from repro.campaign import CampaignSpec, GridSpace, run_campaign
 
 SEPARATIONS = tuple(np.linspace(2.5, 7.5, 11))
 RATIOS = tuple(np.linspace(0.02, 0.3, 20))
-POOL_WORKERS = 4
+WORKERS = 4
 
 
 def stability_map_spec(
@@ -53,47 +57,54 @@ def stability_map_spec(
 
 @dataclass(frozen=True)
 class CampaignBenchResult:
-    """Timing comparison of serial vs pooled campaign execution."""
+    """Timing comparison of a serial run and a run of N lease workers."""
 
     points: int
     workers: int
     batch_size: int
     cpus: int
     serial_seconds: float
-    pool_seconds: float
-    pool_mode: str
+    workers_seconds: float
+    mode: str  # telemetry mode of the N-worker run
     identical: bool
 
     @property
-    def speedup(self) -> float:
-        return self.serial_seconds / self.pool_seconds
+    def speedup(self) -> float | None:
+        """Serial over N-worker wall time; ``None`` with fewer CPUs than workers."""
+        if self.cpus < self.workers:
+            return None
+        return self.serial_seconds / self.workers_seconds
 
     def summary(self) -> str:
         batch = "auto" if self.batch_size == 0 else str(self.batch_size)
+        speedup = (
+            f"{self.speedup:.2f}x"
+            if self.speedup is not None
+            else "speedup not reported"
+        )
         return (
             f"campaign ({self.points} points): serial {self.serial_seconds:.2f} s, "
-            f"{self.workers}-worker {self.pool_mode} (batch {batch}) "
-            f"{self.pool_seconds:.2f} s "
-            f"-> {self.speedup:.2f}x on {self.cpus} cpu(s), "
+            f"{self.workers} {self.mode} workers (batch {batch}) "
+            f"{self.workers_seconds:.2f} s "
+            f"-> {speedup} on {self.cpus} cpu(s), "
             f"identical={self.identical}"
         )
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "kind": "bench_campaign",
-                "points": self.points,
-                "workers": self.workers,
-                "batch_size": self.batch_size,
-                "cpus": self.cpus,
-                "serial_seconds": round(self.serial_seconds, 4),
-                "pool_seconds": round(self.pool_seconds, 4),
-                "speedup": round(self.speedup, 3),
-                "pool_mode": self.pool_mode,
-                "identical": self.identical,
-            },
-            sort_keys=True,
-        )
+        line = {
+            "kind": "bench_campaign",
+            "points": self.points,
+            "workers": self.workers,
+            "batch_size": self.batch_size,
+            "cpus": self.cpus,
+            "serial_seconds": round(self.serial_seconds, 4),
+            "pool_seconds": round(self.workers_seconds, 4),
+            "pool_mode": self.mode,
+            "identical": self.identical,
+        }
+        if self.speedup is not None:
+            line["speedup"] = round(self.speedup, 3)
+        return json.dumps(line, sort_keys=True)
 
 
 def _metrics_equal(a, b) -> bool:
@@ -110,31 +121,35 @@ def _metrics_equal(a, b) -> bool:
 def measure(
     separations=SEPARATIONS,
     ratios=RATIOS,
-    workers: int = POOL_WORKERS,
+    workers: int = WORKERS,
     points: int = 400,
     batch_size: int = 0,
 ) -> CampaignBenchResult:
-    """Run the campaign serial then pooled; cross-check record identity.
+    """Run the campaign serially, then on ``workers`` lease workers; cross-check
+    record identity.
 
-    ``batch_size`` is points per pool future (0 = the executor's
+    ``batch_size`` is points per lease batch (0 = the executor's
     automatic size — roughly four batches per worker).
     """
     spec = stability_map_spec(separations, ratios, points)
+    # Untimed: first-use imports (scipy) would otherwise be charged to the
+    # serial run, and forked workers inherit them.
+    run_campaign(stability_map_spec(separations[:1], ratios[:1], points))
 
     start = time.perf_counter()
     serial = run_campaign(spec, workers=1)
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = run_campaign(spec, workers=workers, batch_size=batch_size)
-    t_pool = time.perf_counter() - start
+    parallel = run_campaign(spec, workers=workers, batch_size=batch_size)
+    t_workers = time.perf_counter() - start
 
     identical = [r["id"] for r in serial.records] == [
-        r["id"] for r in pooled.records
+        r["id"] for r in parallel.records
     ] and all(
         a["status"] == b["status"]
         and _metrics_equal(a.get("metrics"), b.get("metrics"))
-        for a, b in zip(serial.records, pooled.records)
+        for a, b in zip(serial.records, parallel.records)
     )
     return CampaignBenchResult(
         points=len(spec),
@@ -142,8 +157,8 @@ def measure(
         batch_size=batch_size,
         cpus=os.cpu_count() or 1,
         serial_seconds=t_serial,
-        pool_seconds=t_pool,
-        pool_mode=pooled.telemetry.mode,
+        workers_seconds=t_workers,
+        mode=parallel.telemetry.mode,
         identical=identical,
     )
 
@@ -151,12 +166,12 @@ def measure(
 # -- pytest entry points ---------------------------------------------------------
 
 
-def test_pool_matches_serial_and_speeds_up():
-    """Identity always; the >= 2.5x target where parallelism is possible."""
+def test_lease_workers_match_serial_and_speed_up():
+    """Identity always; the >= 2.5x target where each worker has a CPU."""
     result = measure()
     assert result.points >= 200
     assert result.identical, result.summary()
-    if result.cpus >= 2:
+    if result.speedup is not None:
         assert result.speedup >= 2.5, result.summary()
 
 

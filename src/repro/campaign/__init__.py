@@ -1,9 +1,9 @@
 """repro.campaign — parallel, fault-tolerant design-space exploration.
 
 Turns any per-design-point analysis into a scalable campaign: declare a
-parameter space, bind it to a task adapter, and run it across a process
-pool with per-point timeouts, bounded retries, an append-only JSONL
-result store with crash-safe resume, and run telemetry.
+parameter space, bind it to a task adapter, and run it on one process or
+on N lease workers with per-point timeouts, bounded retries, an
+append-only JSONL result store with crash-safe resume, and run telemetry.
 
 Quick start::
 
@@ -26,17 +26,16 @@ Kill the process mid-run and finish later with::
 
 or from the shell: ``python -m repro campaign resume margins.jsonl``.
 
-Scale past one machine with the shared-filesystem lease scheduler: any
-number of independently launched workers (``repro campaign worker``, or
-:func:`run_worker`) join one store, claim batch leases, steal expired
-ones from dead workers, and leave elastically — see
-:mod:`~repro.campaign.lease` and docs/CAMPAIGNS.md.
+``workers=N`` runs N lease workers on this host, and the same lease
+protocol scales past one machine: any number of independently launched
+workers (``repro campaign worker``, or :func:`run_worker`) join one store,
+claim batch leases, steal expired ones from dead workers, and leave
+elastically — see :mod:`~repro.campaign.lease` and docs/CAMPAIGNS.md.
 
 Package layout: :mod:`~repro.campaign.spec` (parameter spaces, point
 ids), :mod:`~repro.campaign.tasks` (adapter registry),
-:mod:`~repro.campaign.executor` (point execution, retries, batching),
-:mod:`~repro.campaign.scheduler` (serial/pool scheduler seam),
-:mod:`~repro.campaign.lease` (multi-host lease protocol),
+:mod:`~repro.campaign.executor` (point execution, retries, serial and
+local lease runs), :mod:`~repro.campaign.lease` (lease protocol),
 :mod:`~repro.campaign.vectorized` (stacked batch adapters),
 :mod:`~repro.campaign.store` (JSONL persistence + shard merge),
 :mod:`~repro.campaign.telemetry` (counters and cache visibility).
@@ -52,12 +51,6 @@ from repro.campaign.executor import (
     run_point_batch,
 )
 from repro.campaign.lease import WorkerReport, run_worker
-from repro.campaign.scheduler import (
-    PoolScheduler,
-    Scheduler,
-    SerialScheduler,
-    resolve_scheduler,
-)
 from repro.campaign.spec import (
     CampaignSpec,
     GridSpace,
@@ -89,11 +82,8 @@ __all__ = [
     "ListSpace",
     "ParameterSpace",
     "PointTimeout",
-    "PoolScheduler",
     "ProductSpace",
     "ResultStore",
-    "Scheduler",
-    "SerialScheduler",
     "StoreCorruptError",
     "WorkerReport",
     "ZipSpace",
@@ -106,7 +96,6 @@ __all__ = [
     "register_batch_task",
     "register_task",
     "render_watch",
-    "resolve_scheduler",
     "resume_campaign",
     "run_campaign",
     "run_point_batch",

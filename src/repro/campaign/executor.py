@@ -1,4 +1,4 @@
-"""Fault-tolerant campaign execution: process pool, retries, resume.
+"""Fault-tolerant campaign execution: retries, timeouts, local lease workers.
 
 The executor turns a :class:`~repro.campaign.spec.CampaignSpec` into a
 stream of terminal point records.  Guarantees:
@@ -8,52 +8,46 @@ stream of terminal point records.  Guarantees:
   with linear backoff; a singular closed-loop solve at one grid cell
   leaves the other 9 999 cells intact.
 * **Per-point timeout.**  On Unix the task runs under ``SIGALRM``
-  (``signal.setitimer``) inside the worker process, so a hung bisection
-  is interrupted *in place* and the worker survives to take the next
-  point.  The timeout exception derives from ``BaseException`` so broad
-  ``except Exception`` blocks inside adapters cannot swallow it.
-* **Serial/pool equivalence.**  The pool path and the serial fallback run
-  the *same* per-point function on the same inputs; results round-trip
-  through pickle (pool) without any float rewriting, so the two paths are
-  bitwise identical.  Serial is used for ``workers <= 1``, for
-  unpicklable task callables, and as an automatic fallback when the pool
-  cannot be created or breaks mid-run (each fallback is recorded as a
-  telemetry note).
+  (``signal.setitimer``) in the computing process's main thread, so a
+  hung bisection is interrupted *in place* and the process survives to
+  take the next point.  The timeout exception derives from
+  ``BaseException`` so broad ``except Exception`` blocks inside adapters
+  cannot swallow it.
+* **Serial oracle, lease workers.**  ``workers <= 1`` runs every point in
+  the calling process.  ``workers = N`` runs N lease workers
+  (:mod:`repro.campaign.lease`) on this host: the caller freezes the
+  plan, forks N - 1 helpers and computes as worker 0.  Both paths run the
+  same per-point function, and fork copies the task rather than
+  pickling it, so records are bitwise identical and closures run in
+  parallel too.  Other hosts can join with ``repro campaign worker``;
+  without fork the run is serial, with a telemetry note.
 * **Crash-safe resume.**  With a result store attached, every terminal
   record is appended (flushed) before the next point is scheduled;
   :func:`resume_campaign` skips any point whose record made it to disk.
-
-Dispatch is chunked two ways: at most ``workers * chunk_size`` futures
-are in flight (bounding coordinator memory on 10k-point campaigns), and
-each future carries a *batch* of up to ``batch_size`` points so one
-pickle round-trip and one scheduling decision are amortized over many
-fast points — per-point futures made the pool path slower than serial on
-sub-100ms tasks.  Records stay per-point throughout: retries, timeouts,
-duplicates, and telemetry all operate on individual points regardless of
-how they were transported.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
+import shutil
 import signal
 import statistics
+import tempfile
 import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro._errors import ValidationError
+from repro.campaign import lease
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, shard_dir
 from repro.campaign.tasks import TaskAdapter, get_task, registered_name
 from repro.campaign.telemetry import CampaignTelemetry, ProgressCallback
 from repro.obs import heartbeat as obs_heartbeat
@@ -74,6 +68,10 @@ __all__ = [
     "run_point_batch",
 ]
 
+#: Idle poll of the local lease workers: they leave as soon as the last
+#: batch lands instead of sleeping out the multi-host default.
+_LOCAL_POLL = 0.05
+
 
 class PointTimeout(BaseException):
     """A point exceeded its per-point timeout.
@@ -90,14 +88,12 @@ class ExecutionPolicy:
     Attributes
     ----------
     workers:
-        Process count; ``<= 1`` selects the serial path.
-    chunk_size:
-        In-flight futures per worker (dispatch window).
+        Process count: ``<= 1`` runs serially in the calling process,
+        ``N > 1`` runs N lease workers on this host.
     batch_size:
-        Points per pool future; ``0`` (default) picks an automatic size
-        aiming for ~4 batches per worker, capped at 16.  Batching
-        amortizes pickle/scheduling overhead on fast points; the serial
-        path ignores it.
+        Points per lease batch; ``0`` (default) picks an automatic size
+        aiming for ~4 batches per worker, capped at 16.  The serial path
+        ignores it.
     timeout:
         Per-point wall-clock limit in seconds (``None`` = unlimited).
     retries:
@@ -108,48 +104,38 @@ class ExecutionPolicy:
         Terminal records between fsynced store checkpoints.
     heartbeat_interval:
         Seconds between worker heartbeat writes (``None`` disables
-        heartbeats and the liveness monitor; requires a store).
+        heartbeats and the stall/straggler check; requires a store).
     stall_factor:
-        A worker is *stalled* when its beat is silent — or its current
-        point has been running — longer than
+        A point *stalled* its worker when it ran longer than
         ``stall_factor * heartbeat_interval``.
     straggler_factor:
         A point is a *straggler* when its elapsed exceeds
         ``straggler_factor`` times the median of completed points (with at
         least 3 samples, and never under one heartbeat interval).
-    stall_action:
-        ``"flag"`` records stall health events only; ``"retry"``
-        additionally re-dispatches the stalled point speculatively (first
-        terminal record wins, the loser is counted as a duplicate).
     stream_interval:
         Seconds between streaming-metrics samples (when streaming is on).
     memory_budget_mb:
         Per-point peak-RSS budget; points above it are flagged
         ``over_budget`` with a ``campaign.memory_budget`` health event.
-    scheduler:
-        Execution scheduler: ``"auto"`` (pool when it pays off, else
-        serial), ``"serial"``, ``"pool"``, or ``"lease"`` — the
-        shared-filesystem multi-host scheduler (requires a store; other
-        workers can join via ``repro campaign worker``).
     vectorize:
         Evaluate point batches through the task's registered vectorized
         batch adapter when one exists (stacked-axis evaluation, bitwise
         identical to the scalar path); ``False`` forces the scalar path.
     lease_ttl:
-        Lease time-to-live in seconds for the lease scheduler.  A worker
-        renews its batch lease every ``lease_ttl / 3``; a lease older than
-        this is considered abandoned and reclaimed by another worker.
+        Lease time-to-live in seconds.  A worker renews its batch lease
+        every ``lease_ttl / 3``; a lease older than this is considered
+        abandoned and reclaimed by another worker (on the owner's host a
+        dead owner's lease is reclaimed at once).
     profile:
         Run the statistical sampling profiler (:mod:`repro.obs.profile`)
-        for the duration of the campaign — coordinator, pool workers and
-        lease workers alike.  With a store attached each process writes
-        its sample shard to ``<store>.profile/<worker>.json`` (merge with
-        ``repro obs profile STORE``).  ``REPRO_OBS_PROFILE=1`` in the
-        environment requests the same thing.
+        for the duration of the campaign, in every worker.  With a store
+        attached each process writes its sample shard to
+        ``<store>.profile/<worker>.json`` (merge with ``repro obs profile
+        STORE``).  ``REPRO_OBS_PROFILE=1`` in the environment requests the
+        same thing.
     """
 
     workers: int = 1
-    chunk_size: int = 4
     batch_size: int = 0
     timeout: float | None = None
     retries: int = 0
@@ -158,23 +144,15 @@ class ExecutionPolicy:
     heartbeat_interval: float | None = 5.0
     stall_factor: float = 3.0
     straggler_factor: float = 4.0
-    stall_action: str = "flag"
     stream_interval: float = 1.0
     memory_budget_mb: float | None = None
-    scheduler: str = "auto"
     vectorize: bool = True
     lease_ttl: float = 30.0
     profile: bool = False
 
     def __post_init__(self):
-        if self.scheduler not in ("auto", "serial", "pool", "lease"):
-            raise ValidationError(
-                "scheduler must be 'auto', 'serial', 'pool' or 'lease'"
-            )
         if self.lease_ttl <= 0:
             raise ValidationError("lease_ttl must be positive")
-        if self.chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
         if self.batch_size < 0:
             raise ValidationError("batch_size must be >= 0 (0 = auto)")
         if self.retries < 0:
@@ -191,8 +169,6 @@ class ExecutionPolicy:
             raise ValidationError("stall_factor must be >= 1")
         if self.straggler_factor <= 1:
             raise ValidationError("straggler_factor must be > 1")
-        if self.stall_action not in ("flag", "retry"):
-            raise ValidationError("stall_action must be 'flag' or 'retry'")
         if self.stream_interval <= 0:
             raise ValidationError("stream_interval must be positive")
         if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
@@ -516,29 +492,8 @@ def run_point_batch(
     return records
 
 
-def _pool_entry_batch(
-    payloads: list[tuple], vectorize: bool = False
-) -> list[dict[str, Any]]:
-    """Module-level (picklable) batched pool entry point.
-
-    One future carries a batch of points: the worker evaluates them
-    back-to-back (sharing its warm grid cache) and ships all records in
-    one pickle round-trip.  Per-point semantics are untouched —
-    ``_run_point`` never raises, arms its own timeout, and emits its own
-    heartbeat/telemetry, so a batch is purely a transport envelope.  With
-    ``vectorize`` the batch additionally runs through the task's
-    registered vectorized adapter when one exists (see
-    :func:`run_point_batch`).
-    """
-    records = run_point_batch(payloads, vectorize=vectorize)
-    # Pool workers have no clean shutdown hook, so the profiler shard is
-    # flushed opportunistically (rate-limited) after each batch instead.
-    obs_profile.maybe_flush()
-    return records
-
-
 def _auto_batch_size(pending: int, workers: int) -> int:
-    """Default points-per-future: amortize dispatch without starving workers.
+    """Default points per lease batch: amortize leases without starving workers.
 
     Aims for roughly four batches per worker over the pending set, so
     retries and stragglers can still interleave with fresh work, capped
@@ -547,208 +502,63 @@ def _auto_batch_size(pending: int, workers: int) -> int:
     return max(1, min(16, pending // max(workers, 1) // 4))
 
 
-def _pool_init(
-    cache_config: Mapping[str, Any],
-    obs_enabled: bool = False,
-    heartbeat_config: tuple[str, float] | None = None,
-    memory_budget_mb: float | None = None,
-    trace_config: tuple[dict | None, str | None] | None = None,
-    profile_config: tuple[int, str | None] | None = None,
-) -> None:
-    """Per-worker initializer: idempotently mirror the parent cache config.
-
-    Each worker owns a private, initially cold :data:`repro.core.memo.
-    grid_cache`; ``configure`` is idempotent so re-running the initializer
-    (or forking an already-configured parent) is harmless.  The cold-warm
-    cost is surfaced through per-record cache deltas in the telemetry.
-
-    The parent's observability switch is mirrored too, so ``spawn``-started
-    workers record spans exactly when the coordinator does (under ``fork``
-    the flag is inherited and this is a no-op).  When live telemetry is on
-    the worker also starts its heartbeat emitter thread and configures the
-    per-point memory budget / tracemalloc profiling.
-    """
-    from repro.core import memo
-
-    raw_bytes = cache_config.get("max_bytes")
-    raw_ttl = cache_config.get("ttl_seconds")
-    memo.configure(
-        enabled=bool(cache_config.get("enabled", True)),
-        maxsize=int(cache_config.get("maxsize", 256)),
-        max_bytes=None if raw_bytes is None else int(raw_bytes),
-        ttl_seconds=None if raw_ttl is None else float(raw_ttl),
-    )
-    if obs_enabled:
-        obs.enable()
-    else:
-        obs.disable()
-    obs_resources.configure(memory_budget_mb)
-    obs_resources.ensure_tracemalloc()
-    if trace_config is not None:
-        # The task envelope carries the campaign's trace context: workers
-        # inherit it so every record and span event joins the same trace.
-        ctx_data, sink_dir = trace_config
-        ctx = obs_trace.TraceContext.from_dict(ctx_data)
-        obs_trace.set_campaign(ctx)
-        if sink_dir and ctx is not None:
-            obs_trace.configure_sink(sink_dir)
-    if heartbeat_config is not None:
-        directory, interval = heartbeat_config
-        obs_heartbeat.ensure_emitter(directory, float(interval))
-    if profile_config is not None:
-        # itimers are not inherited across fork, so each pool worker arms
-        # its own sampler; the task function runs in the worker's main
-        # thread, so SIGPROF-based CPU sampling works here.
-        hz, sink_dir = profile_config
-        obs_profile.start(hz=hz)
-        if sink_dir:
-            obs_profile.configure_sink(sink_dir)
-
-
-def _is_picklable(obj: Any) -> bool:
-    try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
-# -- liveness monitor --------------------------------------------------------------
+# -- stall / straggler check -------------------------------------------------------
 
 
 class _LivenessMonitor:
-    """Stall/straggler classification over heartbeats and point records.
+    """Stall/straggler classification of each terminal point record.
 
-    Two complementary signals:
-
-    * **live** (:meth:`check`, pool path): heartbeats read every poll —
-      a worker silent for ``stall_factor * interval`` (dead/frozen
-      process) *or* one whose current point has been running that long
-      (wedged task) is flagged stalled while it is still stuck;
-    * **retroactive** (:meth:`observe_record`, both paths): every
-      terminal record is classified against the stall threshold and the
-      straggler criterion (elapsed > ``straggler_factor`` x median of
-      completed points, >= 3 samples, floored at one heartbeat interval so
-      microsecond jitter on fast maps never flags).
-
-    Each anomaly is flagged once: telemetry counters + note + a
-    coordinator-side health event (``campaign.worker_stalled`` /
-    ``campaign.point_straggler``).  With ``stall_action="retry"`` the
-    point ids returned by :meth:`check` are re-dispatched speculatively.
+    A point *stalled* its worker when it ran longer than ``stall_factor *
+    heartbeat_interval``; it is a *straggler* when it ran longer than
+    ``straggler_factor`` x the median of the ok points before it (>= 3
+    samples, floored at one heartbeat interval so microsecond jitter on
+    fast maps never flags).  Each is counted, noted (stalls) and emitted as
+    a health event (``campaign.worker_stalled`` / ``campaign.point_straggler``).
+    A worker that goes silent is not judged here: ``repro campaign watch``
+    marks its heartbeat, and its lease is reclaimed.
     """
 
-    def __init__(
-        self,
-        policy: ExecutionPolicy,
-        telemetry: CampaignTelemetry,
-        directory: Path,
-    ):
+    def __init__(self, policy: ExecutionPolicy, telemetry: CampaignTelemetry):
         self.telemetry = telemetry
-        self.directory = Path(directory)
         self.interval = float(policy.heartbeat_interval or 5.0)
         self.stall_after = float(policy.stall_factor) * self.interval
         self.straggler_factor = float(policy.straggler_factor)
-        self.escalate = policy.stall_action == "retry"
         self._elapsed: list[float] = []
-        self._stall_flagged: set[str] = set()
-        self._straggler_flagged: set[str] = set()
-
-    def _median(self) -> float | None:
-        if len(self._elapsed) < 3:
-            return None
-        return statistics.median(self._elapsed)
-
-    def _flag_stall(
-        self, key: str, point_id: str | None, worker: int | str, elapsed: float,
-        reason: str,
-    ) -> bool:
-        if key in self._stall_flagged:
-            return False
-        self._stall_flagged.add(key)
-        self.telemetry.stalls += 1
-        self.telemetry.note(f"stall: worker {worker} {reason}")
-        self.telemetry.health_event(
-            "campaign.worker_stalled",
-            elapsed,
-            self.stall_after,
-            severity="warning",
-            message=f"worker {worker} {reason}",
-        )
-        return point_id is not None
-
-    def _flag_straggler(self, point_id: str, elapsed: float, median: float) -> None:
-        if point_id in self._straggler_flagged:
-            return
-        self._straggler_flagged.add(point_id)
-        self.telemetry.stragglers += 1
-        self.telemetry.straggler_ids.append(point_id)
-        self.telemetry.health_event(
-            "campaign.point_straggler",
-            elapsed,
-            self.straggler_factor * median,
-            severity="info",
-            message=(
-                f"point {point_id} at {elapsed:.2f} s vs "
-                f"{median:.2f} s median"
-            ),
-        )
-
-    def check(self, now: float | None = None) -> list[str]:
-        """Scan live heartbeats; returns newly-stalled point ids."""
-        now = time.time() if now is None else now
-        stalled: list[str] = []
-        for beat in obs_heartbeat.read_heartbeats(self.directory):
-            if beat.get("phase") == "stopped":
-                continue
-            # Keyed by hostname+pid so workers on different hosts sharing
-            # one store can never alias each other's stall state.
-            worker = obs_heartbeat.beat_worker(beat)
-            point_id = beat.get("point_id")
-            age = obs_heartbeat.beat_age(beat, now)
-            point_elapsed = (
-                float(beat.get("point_elapsed", 0.0)) + age
-                if point_id is not None
-                else 0.0
-            )
-            if age > self.stall_after:
-                if self._flag_stall(
-                    f"worker:{worker}", point_id, worker, age,
-                    f"silent for {age:.1f} s (no heartbeat)",
-                ):
-                    stalled.append(point_id)
-            elif point_id is not None and point_elapsed > self.stall_after:
-                if self._flag_stall(
-                    point_id, point_id, worker, point_elapsed,
-                    f"stuck on point {point_id} for {point_elapsed:.1f} s",
-                ):
-                    stalled.append(point_id)
-            if point_id is not None:
-                median = self._median()
-                if (
-                    median is not None
-                    and point_elapsed > self.straggler_factor * median
-                    and point_elapsed >= self.interval
-                ):
-                    self._flag_straggler(point_id, point_elapsed, median)
-        return stalled
 
     def observe_record(self, record: Mapping[str, Any]) -> None:
         """Classify a terminal record, then fold it into the median."""
+        telemetry = self.telemetry
         point_id = str(record["id"])
         elapsed = float(record.get("elapsed", 0.0))
         if elapsed > self.stall_after:
-            self._flag_stall(
-                point_id, point_id, int(record.get("worker", 0)), elapsed,
-                f"point {point_id} ran {elapsed:.1f} s "
-                f"(stall threshold {self.stall_after:.1f} s)",
+            reason = (
+                f"worker {int(record.get('worker', 0))} point {point_id} ran "
+                f"{elapsed:.1f} s (stall threshold {self.stall_after:.1f} s)"
             )
-        median = self._median()
-        if (
-            median is not None
-            and elapsed > self.straggler_factor * median
-            and elapsed >= self.interval
-        ):
-            self._flag_straggler(point_id, elapsed, median)
+            telemetry.stalls += 1
+            telemetry.note(f"stall: {reason}")
+            telemetry.health_event(
+                "campaign.worker_stalled",
+                elapsed,
+                self.stall_after,
+                severity="warning",
+                message=reason,
+            )
+        if len(self._elapsed) >= 3:
+            median = statistics.median(self._elapsed)
+            if elapsed > self.straggler_factor * median and elapsed >= self.interval:
+                telemetry.stragglers += 1
+                telemetry.straggler_ids.append(point_id)
+                telemetry.health_event(
+                    "campaign.point_straggler",
+                    elapsed,
+                    self.straggler_factor * median,
+                    severity="info",
+                    message=(
+                        f"point {point_id} at {elapsed:.2f} s vs "
+                        f"{median:.2f} s median"
+                    ),
+                )
         if record.get("status") == "ok":
             self._elapsed.append(elapsed)
 
@@ -779,16 +589,7 @@ class _Coordinator:
 
     # one queue entry: (index, point_id, params, attempt)
 
-    def _is_duplicate(self, record: Mapping[str, Any]) -> bool:
-        """Speculative re-runs race the original; first terminal record wins."""
-        if record["id"] in self.finalized:
-            self.telemetry.stall_duplicates += 1
-            return True
-        return False
-
     def _finalize(self, record: dict[str, Any]) -> None:
-        if self._is_duplicate(record):
-            return
         self.finalized[record["id"]] = record
         if self.monitor is not None:
             self.monitor.observe_record(record)
@@ -848,11 +649,11 @@ class _Coordinator:
     def run_batch(self, queue: "deque[tuple[int, str, dict, int]]") -> None:
         """Evaluate one claimed batch in-process, vectorized when possible.
 
-        The lease scheduler's per-batch execution: the whole queue goes
-        through :func:`run_point_batch` (one stacked evaluation when the
-        task has a batch adapter), and any point needing a retry is
-        re-run through the scalar serial path — identical retry, backoff
-        and timeout semantics to the other schedulers.
+        A lease worker's per-batch execution: the whole queue goes through
+        :func:`run_point_batch` (one stacked evaluation when the task has a
+        batch adapter), and any point needing a retry is re-run through the
+        scalar serial path — the serial path's retry, backoff and timeout
+        semantics.
         """
         entries = list(queue)
         queue.clear()
@@ -866,8 +667,6 @@ class _Coordinator:
         retry: deque = deque()
         for entry, record in zip(entries, records):
             index, pid, params, attempt = entry
-            if self._is_duplicate(record):
-                continue
             if self._should_retry(record, attempt):
                 self._backoff(attempt)
                 retry.append((index, pid, params, attempt + 1))
@@ -878,179 +677,9 @@ class _Coordinator:
         else:
             self._checkpoint()
 
-    # -- pool path ---------------------------------------------------------------
 
-    def run_pool(self, queue: "deque[tuple[int, str, dict, int]]") -> None:
-        """Chunked pool dispatch; falls back to serial if the pool breaks."""
-        from repro.core import memo
-
-        policy = self.policy
-        monitor = self.monitor
-        cache_config = memo.cache_snapshot()
-        heartbeat_config = (
-            (str(monitor.directory), monitor.interval)
-            if monitor is not None
-            else None
-        )
-        # With a monitor attached the wait() below times out every
-        # heartbeat interval so heartbeats are scanned even while no
-        # future completes — that is exactly when a stall is happening.
-        poll = monitor.interval if monitor is not None else None
-        max_inflight = policy.workers * policy.chunk_size
-        batch_size = policy.batch_size or _auto_batch_size(
-            len(queue), policy.workers
-        )
-        inflight: dict[Any, list[tuple[int, str, dict, int]]] = {}
-        entry_by_id: dict[str, tuple[int, str, dict, int]] = {}
-        escalated: set[str] = set()
-        trace_ctx = obs_trace.campaign_context()
-        trace_config = None
-        if trace_ctx is not None:
-            sink_dir = (
-                str(obs_trace.trace_dir(self.store.path))
-                if self.store is not None and obs_trace.sink_configured()
-                else None
-            )
-            trace_config = (trace_ctx.to_dict(), sink_dir)
-        profile_config = None
-        if policy.profile or obs_profile.profile_requested():
-            profile_sink = (
-                str(obs_profile.profile_dir(self.store.path))
-                if self.store is not None
-                else None
-            )
-            profile_config = (obs_profile.requested_hz(), profile_sink)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=policy.workers,
-                initializer=_pool_init,
-                initargs=(
-                    cache_config,
-                    obs.enabled(),
-                    heartbeat_config,
-                    policy.memory_budget_mb,
-                    trace_config,
-                    profile_config,
-                ),
-            ) as pool:
-                while queue or inflight:
-                    while queue and len(inflight) < max_inflight:
-                        batch = [
-                            queue.popleft()
-                            for _ in range(min(batch_size, len(queue)))
-                        ]
-                        future = pool.submit(
-                            _pool_entry_batch,
-                            [
-                                (self.task, pid, params, policy.timeout, attempt)
-                                for _index, pid, params, attempt in batch
-                            ],
-                            policy.vectorize,
-                        )
-                        inflight[future] = batch
-                        for entry in batch:
-                            entry_by_id[entry[1]] = entry
-                    ready, _ = wait(
-                        inflight, timeout=poll, return_when=FIRST_COMPLETED
-                    )
-                    for future in ready:
-                        batch = inflight.pop(future)
-                        try:
-                            records = list(future.result())
-                        except BrokenProcessPool:
-                            # Requeue before escalating so the fallback's
-                            # inflight sweep sees this batch too.
-                            inflight[future] = batch
-                            raise
-                        except Exception as exc:  # worker-side transport error
-                            records = [
-                                _transport_failure(pid, params, attempt, exc)
-                                for _index, pid, params, attempt in batch
-                            ]
-                        if len(records) != len(batch):
-                            exc = ValidationError(
-                                f"batched worker returned {len(records)} "
-                                f"record(s) for {len(batch)} point(s)"
-                            )
-                            records = [
-                                _transport_failure(pid, params, attempt, exc)
-                                for _index, pid, params, attempt in batch
-                            ]
-                        for entry, record in zip(batch, records):
-                            index, pid, params, attempt = entry
-                            if self._is_duplicate(record):
-                                continue
-                            if self._should_retry(record, attempt):
-                                self._backoff(attempt)
-                                queue.append((index, pid, params, attempt + 1))
-                            else:
-                                self._finalize(record)
-                    if monitor is not None:
-                        stalled = monitor.check()
-                        if monitor.escalate:
-                            for point_id in stalled:
-                                if (
-                                    point_id in escalated
-                                    or point_id in self.finalized
-                                ):
-                                    continue
-                                entry = entry_by_id.get(point_id)
-                                if entry is None:
-                                    continue
-                                escalated.add(point_id)
-                                queue.append(entry)
-                                self.telemetry.note(
-                                    "stall escalation: speculatively "
-                                    f"re-dispatched point {point_id}"
-                                )
-        except (BrokenProcessPool, OSError) as exc:
-            # Pool died (OOM-killed worker, fork failure, ...): finish the
-            # remaining points serially rather than losing the campaign.
-            for batch in inflight.values():
-                queue.extend(batch)
-            seen: set[str] = set()
-            pending: deque = deque()
-            for entry in sorted(queue):
-                if entry[1] in self.finalized or entry[1] in seen:
-                    continue
-                seen.add(entry[1])
-                pending.append(entry)
-            queue.clear()
-            self.telemetry.note(
-                f"process pool failed ({type(exc).__name__}: {exc}); "
-                f"finished {len(pending)} remaining point(s) serially"
-            )
-            self.telemetry.mode = "pool+serial-fallback"
-            self.run_serial(pending)
-            return
-        self._checkpoint()
-
-
-def _transport_failure(
-    pid: str, params: Mapping[str, Any], attempt: int, exc: Exception
-) -> dict[str, Any]:
-    """Record for a point whose worker-side result never arrived."""
-    return {
-        "kind": "point",
-        "id": pid,
-        "params": dict(params),
-        "status": "failed",
-        "attempts": attempt,
-        "worker": 0,
-        "elapsed": 0.0,
-        "cache": {"hits": 0, "misses": 0, "bytes": 0},
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(limit=20),
-        },
-    }
-
-
-def _stream_sample(
-    telemetry: CampaignTelemetry, monitor: "_LivenessMonitor | None"
-):
-    """Build the coordinator-side sampler the stream emitter calls."""
+def _stream_sample(telemetry: CampaignTelemetry):
+    """Build the serial path's sampler the stream emitter calls."""
 
     def sample() -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -1069,17 +698,239 @@ def _stream_sample(
         counts = telemetry.health_counts()
         if counts:
             out["health"] = counts
-        if monitor is not None:
-            beats = obs_heartbeat.read_heartbeats(monitor.directory)
-            out["workers_live"] = sum(
-                1 for b in beats if b.get("phase") != "stopped"
-            )
         ctx = obs_trace.campaign_context()
         if ctx is not None:
             out["trace_id"] = ctx.trace_id
         return out
 
     return sample
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or ``None`` where it is missing."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _Observers:
+    """One run's observers in this process, started on construction: the
+    campaign trace context and its span sink, heartbeat and stream
+    emitters, memory probes and the sampling profiler.
+
+    A span sink or profiler already set up (a serve process logging or
+    profiling itself while a spilled campaign runs inline) is left alone
+    and simply sees the run's events too.
+    """
+
+    def __init__(
+        self,
+        store_path: Path | None,
+        policy: ExecutionPolicy,
+        telemetry: CampaignTelemetry,
+        sample: Callable[[], dict[str, Any]],
+        *,
+        stream_to: str | Path | None,
+        trace: obs_trace.TraceContext | None,
+        worker: str | None = None,
+    ):
+        self.telemetry = telemetry
+        self.trace = trace
+        self._prev_ctx = obs_trace.campaign_context()
+        self._own_sink = self._own_profiler = self._own_profile_sink = False
+        if trace is not None:
+            obs_trace.set_campaign(trace)
+            if store_path is not None and obs.enabled() and not obs_trace.sink_configured():
+                obs_trace.configure_sink(obs_trace.trace_dir(store_path), worker=worker)
+                self._own_sink = True
+        if store_path is not None and policy.heartbeat_interval is not None:
+            obs_heartbeat.ensure_emitter(
+                obs_heartbeat.heartbeat_dir(store_path), policy.heartbeat_interval
+            )
+        self._stream: obs_stream.StreamEmitter | None = None
+        if store_path is not None and (stream_to is not None or obs_stream.stream_requested()):
+            self._stream = obs_stream.StreamEmitter(
+                Path(stream_to) if stream_to is not None else obs_stream.stream_path(store_path),
+                sample,
+                policy.stream_interval,
+            )
+            self._stream.start()
+        obs_resources.configure(policy.memory_budget_mb)
+        obs_resources.ensure_tracemalloc()
+        if (policy.profile or obs_profile.profile_requested()) and obs_profile.active() is None:
+            obs_profile.start()
+            self._own_profiler = True
+            if store_path is not None and not obs_profile.sink_configured():
+                obs_profile.configure_sink(obs_profile.profile_dir(store_path), worker=worker)
+                self._own_profile_sink = True
+
+    def close(self) -> None:
+        """Stop them all; the emitters' swallowed errors go to the telemetry."""
+        self.telemetry.heartbeat_errors += obs_heartbeat.stop_emitter()
+        if self._stream is not None:
+            self._stream.stop()
+            self.telemetry.stream_errors += self._stream.errors
+        if self._own_profiler:
+            obs_profile.stop()  # flushes the final shard when a sink is set
+            if self._own_profile_sink:
+                obs_profile.close_sink()
+        if self.trace is not None:
+            obs_trace.set_campaign(self._prev_ctx)
+            if self._own_sink:
+                obs_trace.close_sink()
+
+
+def _run_serial(
+    spec: CampaignSpec,
+    store: ResultStore | None,
+    policy: ExecutionPolicy,
+    progress: ProgressCallback | None,
+    telemetry: CampaignTelemetry,
+    pending: "deque[tuple[int, str, dict, int]]",
+    *,
+    resumed: bool,
+    stream_to: str | Path | None,
+    trace: obs_trace.TraceContext | None,
+) -> dict[str, dict[str, Any]]:
+    """Every pending point in the calling process; returns their records."""
+    telemetry.mode = "serial"
+    telemetry.workers = 1
+    monitor = (
+        _LivenessMonitor(policy, telemetry)
+        if store is not None and policy.heartbeat_interval is not None
+        else None
+    )
+    coordinator = _Coordinator(
+        spec.task, policy, telemetry, store, progress, monitor
+    )
+    observers = _Observers(
+        store.path if store is not None else None,
+        policy,
+        telemetry,
+        _stream_sample(telemetry),
+        stream_to=stream_to,
+        trace=trace,
+    )
+    run_start = time.time()
+    try:
+        coordinator.run_serial(pending)
+    finally:
+        if trace is not None:
+            obs_trace.record_event(
+                "campaign.run",
+                trace,
+                run_start,
+                time.time(),
+                points=telemetry.total_points,
+                resumed=resumed,
+            )
+        observers.close()
+
+    telemetry.finish()
+    if store is not None:
+        store.append_summary(telemetry.to_dict())
+        store.close()
+    return coordinator.finalized
+
+
+def _lease_helper(sender, store_path: Path, worker_kwargs: dict[str, Any]) -> None:
+    """Body of a forked lease worker; sends its telemetry back when done."""
+    sender.send(lease.run_worker(store_path, **worker_kwargs).telemetry)
+
+
+def _run_leased(
+    context,
+    spec: CampaignSpec,
+    store: ResultStore,
+    policy: ExecutionPolicy,
+    progress: ProgressCallback | None,
+    telemetry: CampaignTelemetry,
+    pending: "deque[tuple[int, str, dict, int]]",
+    *,
+    resumed: bool,
+    retry_failed: bool,
+    stream_to: str | Path | None,
+    trace: obs_trace.TraceContext | None,
+) -> dict[str, dict[str, Any]]:
+    """``policy.workers`` lease workers on this host; returns the merged records.
+
+    The calling process freezes the plan, forks the helpers before it
+    opens its own shard or starts a thread, runs worker 0 itself, waits
+    for the helpers, and folds this run's records into ``telemetry``.
+    Its workers stay out of the finalize election: the caller holds it
+    and writes ``telemetry`` as the run's summary, so the store keeps the
+    stall, straggler and manifest events only the caller sees.
+    """
+    telemetry.mode = "lease"
+    telemetry.workers = policy.workers
+    ldir = lease.lease_dir(store.path)
+    plan = lease.ensure_plan(
+        ldir,
+        spec,
+        policy.batch_size or _auto_batch_size(len(pending), policy.workers),
+        trace=trace,
+    )
+    if resumed:
+        todo = {pid for _index, pid, _params, _attempt in pending}
+        lease.reopen(
+            ldir,
+            [b["id"] for b in plan["batches"] if todo.intersection(b["points"])],
+        )
+    store.close()
+    worker_kwargs = dict(
+        policy=policy,
+        spec=spec,
+        progress=progress,
+        stream_to=stream_to,
+        trace=trace,
+        retry_failed=retry_failed,
+        poll_interval=_LOCAL_POLL,
+        finalize=False,
+    )
+    helpers = []
+    for _ in range(policy.workers - 1):
+        receiver, sender = context.Pipe(duplex=False)
+        helper = context.Process(
+            target=_lease_helper,
+            args=(sender, store.path, worker_kwargs),
+            name="repro-lease-worker",
+        )
+        helper.start()
+        sender.close()
+        helpers.append((helper, receiver))
+    try:
+        report = lease.run_worker(store.path, **worker_kwargs)
+        telemetry.add_worker(report.telemetry)
+    except BaseException:
+        for helper, _receiver in helpers:
+            helper.terminate()
+        raise
+    finally:
+        for helper, receiver in helpers:
+            try:
+                telemetry.add_worker(receiver.recv())
+            except EOFError:
+                pass  # died before reporting; its exit code says how
+            helper.join()
+            if helper.exitcode:
+                telemetry.note(
+                    f"lease worker {helper.pid} exited with code {helper.exitcode}"
+                )
+
+    merged = {r["id"]: r for r in store.merged_point_records()}
+    monitor = (
+        _LivenessMonitor(policy, telemetry)
+        if policy.heartbeat_interval is not None
+        else None
+    )
+    telemetry.fold(
+        (merged[pid] for _index, pid, _params, _attempt in pending if pid in merged),
+        observe=monitor.observe_record if monitor is not None else None,
+    )
+    telemetry.finish()
+    if report.complete and lease.try_finalize(ldir, report.worker):
+        lease.write_summary(store, report.worker, telemetry)
+    return merged
 
 
 def _execute(
@@ -1090,6 +941,7 @@ def _execute(
     completed: Mapping[str, dict[str, Any]],
     *,
     resumed: bool = False,
+    retry_failed: bool = False,
     stream_to: str | Path | None = None,
     trace: obs_trace.TraceContext | None = None,
 ) -> CampaignResult:
@@ -1101,7 +953,6 @@ def _execute(
     )
     telemetry = CampaignTelemetry(
         total_points=len(all_points),
-        workers=max(int(policy.workers), 1),
         skipped=len(all_points) - len(pending),
     )
 
@@ -1141,162 +992,40 @@ def _execute(
             current["trace"] = trace_ctx.to_dict()
         obs_manifest.write_manifest(mpath, current)
 
-    if policy.scheduler == "lease":
-        # Multi-host path: this process becomes one lease worker against
-        # the shared store (others join via `repro campaign worker`).  The
-        # worker owns its telemetry, heartbeat, stream and shard store;
-        # records are merged back from the store + shards at the end.
-        if store is None:
-            raise ValidationError(
-                "the lease scheduler requires a result store (store_path=...)"
-            )
-        from repro.campaign import lease as lease_mod
-
-        store.close()
-        report = lease_mod.run_worker(
-            store.path,
-            policy=policy,
-            spec=spec,
-            progress=progress,
-            stream_to=stream_to,
-            trace=trace_ctx,
-        )
-        merged = {r["id"]: r for r in store.merged_point_records()}
-        ordered = [merged[pid] for pid, _params in all_points if pid in merged]
-        return CampaignResult(
-            spec=spec,
-            records=tuple(ordered),
-            telemetry=report.telemetry,
-            store_path=store.path,
-        )
-
     heartbeat_dir: Path | None = None
-    monitor: _LivenessMonitor | None = None
     if store is not None and policy.heartbeat_interval is not None:
         heartbeat_dir = obs_heartbeat.heartbeat_dir(store.path)
-        heartbeat_dir.mkdir(parents=True, exist_ok=True)
         for stale in heartbeat_dir.glob("*.json"):  # beats of a killed run
             try:
                 stale.unlink()
             except OSError:
                 pass
-        monitor = _LivenessMonitor(policy, telemetry, heartbeat_dir)
 
-    stream_emitter: obs_stream.StreamEmitter | None = None
-    if store is not None and (
-        stream_to is not None or obs_stream.stream_requested()
-    ):
-        stream_file = (
-            Path(stream_to)
-            if stream_to is not None
-            else obs_stream.stream_path(store.path)
+    context = _fork_context() if policy.workers > 1 else None
+    if policy.workers > 1 and context is None:
+        telemetry.note("fork is unavailable on this platform; ran serially")
+    if context is not None and store is not None:
+        records = _run_leased(
+            context, spec, store, policy, progress, telemetry, pending,
+            resumed=resumed, retry_failed=retry_failed,
+            stream_to=stream_to, trace=trace_ctx,
         )
-        stream_emitter = obs_stream.StreamEmitter(
-            stream_file,
-            _stream_sample(telemetry, monitor),
-            policy.stream_interval,
+    else:
+        records = _run_serial(
+            spec, store, policy, progress, telemetry, pending,
+            resumed=resumed, stream_to=stream_to, trace=trace_ctx,
         )
-
-    coordinator = _Coordinator(
-        spec.task, policy, telemetry, store, progress, monitor
-    )
-
-    from repro.campaign.scheduler import resolve_scheduler
-
-    scheduler, notes = resolve_scheduler(spec, policy, len(pending))
-    for note in notes:
-        telemetry.note(note)
-    obs_resources.configure(policy.memory_budget_mb)
-    # Install the campaign trace context (and, when a store exists, a
-    # per-worker span-event sink) for the duration of the run.  An already
-    # configured sink — the serve process logging to its own trace file —
-    # is kept: its single log then carries the campaign's events too.
-    prev_campaign_ctx = obs_trace.campaign_context()
-    own_sink = False
-    run_start = 0.0
-    if trace_ctx is not None:
-        obs_trace.set_campaign(trace_ctx)
-        run_start = time.time()
-        if (
-            store is not None
-            and obs.enabled()
-            and not obs_trace.sink_configured()
-        ):
-            obs_trace.configure_sink(obs_trace.trace_dir(store.path))
-            own_sink = True
-    # Sampling profiler, same ownership discipline as the trace sink: a
-    # profiler already running (a serve process profiling itself while a
-    # spilled campaign runs inline) is left alone and simply attributes
-    # the campaign's samples too.
-    own_profiler = False
-    own_profile_sink = False
-    if (
-        (policy.profile or obs_profile.profile_requested())
-        and obs_profile.active() is None
-    ):
-        obs_profile.start()
-        own_profiler = True
-        if store is not None and not obs_profile.sink_configured():
-            obs_profile.configure_sink(obs_profile.profile_dir(store.path))
-            own_profile_sink = True
-    try:
-        if stream_emitter is not None:
-            stream_emitter.start()
-        telemetry.mode = scheduler.name
-        if scheduler.name == "serial":
-            telemetry.workers = 1
-            obs_resources.ensure_tracemalloc()
-            if heartbeat_dir is not None:
-                obs_heartbeat.ensure_emitter(
-                    heartbeat_dir, policy.heartbeat_interval
-                )
-        scheduler.run(coordinator, pending)
-    finally:
-        telemetry.heartbeat_errors += obs_heartbeat.stop_emitter()
-        if stream_emitter is not None:
-            stream_emitter.stop()
-            telemetry.stream_errors += stream_emitter.errors
-        if own_profiler:
-            obs_profile.stop()  # flushes the final shard when a sink is set
-            if own_profile_sink:
-                obs_profile.close_sink()
-        if trace_ctx is not None:
-            obs_trace.record_event(
-                "campaign.run",
-                trace_ctx,
-                run_start,
-                time.time(),
-                points=len(all_points),
-                resumed=resumed,
-            )
-            obs_trace.set_campaign(prev_campaign_ctx)
-            if own_sink:
-                obs_trace.close_sink()
-
-    telemetry.finish()
-    if store is not None:
-        store.append_summary(telemetry.to_dict())
-        store.close()
     if heartbeat_dir is not None:
-        # The run reached its summary; beats only matter for live or
-        # killed runs, so leave nothing behind (a SIGKILL never gets here
-        # and its beats survive for `repro campaign watch`).
-        for path in heartbeat_dir.glob("*"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        try:
-            heartbeat_dir.rmdir()
-        except OSError:
-            pass
+        # The run reached its end; beats only matter for live or killed
+        # runs, so leave nothing behind (a SIGKILL never gets here and its
+        # beats survive for `repro campaign watch`).
+        shutil.rmtree(heartbeat_dir, ignore_errors=True)
 
     ordered = []
     for pid, _params in all_points:
-        if pid in coordinator.finalized:
-            ordered.append(coordinator.finalized[pid])
-        elif pid in completed:
-            ordered.append(completed[pid])
+        record = records.get(pid) or completed.get(pid)
+        if record is not None:
+            ordered.append(record)
     return CampaignResult(
         spec=spec,
         records=tuple(ordered),
@@ -1336,13 +1065,31 @@ def run_campaign(
     context (e.g. the serve request that spilled this campaign) into the
     manifest and every record; with observability enabled a fresh context
     is minted when none is given.
+
+    Lease workers share their records through a store: with
+    ``workers > 1`` and no ``store_path`` the run uses a private temporary
+    one, removed once the records are read back.  ``progress`` then runs
+    in each worker process, called with that worker's own telemetry and
+    counts; the returned telemetry folds every worker's records.
     """
     policy = _make_policy(policy, policy_overrides)
-    store = (
-        ResultStore.create(store_path, spec, overwrite=overwrite)
-        if store_path is not None
-        else None
-    )
+    if store_path is None and policy.workers > 1 and _fork_context() is not None:
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
+            result = run_campaign(
+                spec,
+                Path(scratch) / "campaign.jsonl",
+                policy=policy,
+                progress=progress,
+                stream_path=stream_path,
+                trace=trace,
+            )
+        return replace(result, store_path=None)
+    store = None
+    if store_path is not None:
+        store = ResultStore.create(store_path, spec, overwrite=overwrite)
+        # A fresh store starts without the shards and leases of an old run.
+        shutil.rmtree(shard_dir(store.path), ignore_errors=True)
+        shutil.rmtree(lease.lease_dir(store.path), ignore_errors=True)
     return _execute(
         spec,
         store,
@@ -1376,18 +1123,7 @@ def resume_campaign(
     policy = _make_policy(policy, policy_overrides)
     store = ResultStore.open(store_path)
     if spec is None:
-        if task is None:
-            spec = store.spec()
-        else:
-            from repro.campaign.spec import ParameterSpace
-
-            data = store.spec_data()
-            spec = CampaignSpec.create(
-                name=data["name"],
-                space=ParameterSpace.from_json(data["space"]),
-                task=task,
-                defaults=data.get("defaults") or None,
-            )
+        spec = store.spec(task)
     elif task is not None:
         spec = CampaignSpec.create(
             name=spec.name, space=spec.space, task=task,
@@ -1405,6 +1141,7 @@ def resume_campaign(
         progress,
         completed=completed_records,
         resumed=True,
+        retry_failed=retry_failed,
         stream_to=stream_path,
         trace=trace,
     )
@@ -1415,7 +1152,7 @@ def campaign_status(store_path: str | Path) -> dict[str, Any]:
 
     When the run wrote a manifest (``<store>.manifest.json``) it is
     attached under ``"manifest"``.  Counts merge worker shard stores when
-    any exist (lease-scheduler campaigns).
+    any exist (lease-worker campaigns).
     """
     status = ResultStore.open(store_path).merged_status()
     manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store_path))

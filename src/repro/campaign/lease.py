@@ -28,25 +28,34 @@ Protocol invariants
 * **Claims are atomic.**  A lease is claimed by exclusive file creation —
   the one filesystem primitive that is atomic essentially everywhere.
   Exactly one concurrent claimer wins.
-* **Leases expire.**  A lease carries its owner's worker id and a
-  timestamp renewed every ``ttl/3`` by a daemon thread.  A lease older
+* **Leases expire.**  A lease carries its owner's worker id and host and
+  a timestamp renewed every ``ttl/3`` by a daemon thread.  A lease older
   than its ttl means the owner died (SIGKILL, host loss) or wedged; any
-  worker may then *reclaim* it.  Reclaim is made exactly-once by renaming
-  the lease file to a reclaimer-private name first: only one rename can
-  succeed, and a renewal racing the rename simply recreates the owner's
-  lease (the reclaimer re-reads what it renamed, sees it was fresh after
-  all, and backs off).
+  worker may then *reclaim* it.  On the owner's host a dead owner is seen
+  at once: every worker holds an exclusive ``flock`` on its shard for its
+  whole life, which the kernel drops when the process dies (a pid check
+  cannot tell: a killed, unreaped child still answers ``kill(pid, 0)``).
+  Locks are not trusted across hosts.  Reclaim is made exactly-once by
+  renaming the lease file to a reclaimer-private name first: only one
+  rename can succeed, and a renewal racing the rename simply recreates
+  the owner's lease (the reclaimer re-reads what it renamed, sees it was
+  fresh after all, and backs off).
 * **Records dedup, not leases.**  Losing a lease race costs wasted work,
   never correctness: every point record lands in the worker's private
   shard, and readers merge shards with first-``ok``-wins semantics
   (:meth:`~repro.campaign.store.ResultStore.merged_point_records`).  A
   reclaimer re-reads the merged record set *after* claiming, so points
   the dead worker already recorded are not recomputed.
-* **One summary writer.**  When the merged record set covers every point,
-  workers race to create the ``campaign.finalized`` marker; the single
-  winner appends the summary line to the main store.  The main store
-  therefore has exactly two writers over its lifetime — the creator
-  (header) and the finalize winner (summary) — which never overlap.
+* **One summary writer per run.**  When the merged record set covers every
+  point, workers race to create the ``campaign.finalized`` marker; the
+  single winner appends the summary line to the main store.  The main
+  store therefore has one writer at a time — the creator (header), then
+  the finalize winner (summary).  A caller running several local workers
+  (``run_campaign(..., workers=N)``) keeps them out of the election and
+  holds it itself once they have all returned, so its summary folds every
+  worker's records.  A resume starts a new run with :func:`reopen`, which
+  withdraws the marker (and the done markers of the batches it re-runs)
+  so that run gets its own summary.
 
 Every time-dependent primitive takes an explicit ``now`` so the protocol
 is unit-testable with a frozen clock.
@@ -61,18 +70,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
+
+try:
+    import fcntl
+except ImportError:  # no flock: every lease keeps the ttl rule
+    fcntl = None
 
 from repro._errors import ValidationError
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, shard_dir
 from repro.campaign.telemetry import CampaignTelemetry, ProgressCallback
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import manifest as obs_manifest
 from repro.obs import profile as obs_profile
 from repro.obs import resources as obs_resources
-from repro.obs import spans as obs
-from repro.obs import stream as obs_stream
 from repro.obs import trace as obs_trace
 
 __all__ = [
@@ -88,15 +100,18 @@ __all__ = [
     "read_lease",
     "release",
     "renew",
+    "reopen",
     "run_worker",
     "try_claim",
     "try_finalize",
     "try_reclaim",
+    "write_summary",
 ]
 
-#: Points per lease batch when ``ExecutionPolicy.batch_size`` is 0 (auto).
-#: Larger than the pool default cap because a lease round-trip (claim +
-#: renewals + done marker) costs several filesystem operations.
+#: Points per lease batch when ``ExecutionPolicy.batch_size`` is 0 (auto)
+#: and the worker count is unknown (``campaign init``, serve's job spill).
+#: A lease round-trip (claim + renewals + done marker) costs several
+#: filesystem operations.
 DEFAULT_LEASE_BATCH = 16
 
 FINALIZE_MARKER = "campaign.finalized"
@@ -259,6 +274,53 @@ def renew(
     return True
 
 
+def _hold_shard_lock(shard: Path) -> int | None:
+    """Lock this worker's shard for its lifetime (before any claim); returns
+    the fd to close."""
+    if fcntl is None:
+        return None
+    fd = os.open(shard, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    except OSError:  # no flock on this filesystem: peers keep the ttl rule
+        os.close(fd)
+        return None
+    return fd
+
+
+def _owner_gone(directory: Path, lease: dict[str, Any]) -> bool:
+    """The lease's owner ran on this host, its shard exists, and nobody
+    holds the shard's lock: it died."""
+    name = str(directory)
+    if (
+        fcntl is None
+        or not name.endswith(".leases")
+        or lease.get("host") != obs_heartbeat.host_name()
+    ):
+        return False
+    shard = shard_dir(name[: -len(".leases")]) / f"{lease.get('worker')}.jsonl"
+    try:
+        fd = os.open(shard, os.O_RDONLY)
+    except OSError:
+        return False
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        return False  # held (the owner is alive), or no flock here
+    finally:
+        os.close(fd)  # also drops the lock if this probe took it
+    return True
+
+
+def _expired(
+    directory: Path, lease: dict[str, Any], ttl: float, now: float
+) -> bool:
+    """Older than the ttl recorded in the lease (else the caller's), or its
+    owner is gone."""
+    age = now - float(lease.get("time", now))
+    return age > float(lease.get("ttl", ttl)) or _owner_gone(directory, lease)
+
+
 def lease_state(
     directory: Path, bid: str, ttl: float, now: float | None = None
 ) -> str:
@@ -267,7 +329,8 @@ def lease_state(
     An unreadable lease file (torn write on a non-atomic filesystem) is
     conservatively ``"leased"``; the ttl recorded *in* the lease takes
     precedence over the caller's, so workers running with different
-    ``lease_ttl`` flags honour the owner's promise.
+    ``lease_ttl`` flags honour the owner's promise.  A lease whose owner
+    died on this host is expired whatever its age.
     """
     now = time.time() if now is None else now
     if _done_path(directory, bid).exists():
@@ -277,9 +340,7 @@ def lease_state(
         return "free"
     if not lease:
         return "leased"
-    horizon = float(lease.get("ttl", ttl))
-    age = now - float(lease.get("time", now))
-    return "expired" if age > horizon else "leased"
+    return "expired" if _expired(directory, lease, ttl, now) else "leased"
 
 
 def try_reclaim(
@@ -299,9 +360,7 @@ def try_reclaim(
     current = read_lease(directory, bid)
     if current is None:
         return False  # released (or renamed by another reclaimer) already
-    if current and now - float(current.get("time", now)) <= float(
-        current.get("ttl", ttl)
-    ):
+    if current and not _expired(directory, current, ttl, now):
         return False  # fresh: claimed/renewed since the caller's state check
     path = _lease_path(directory, bid)
     stale = Path(directory) / f".{bid}.stale.{worker}"
@@ -313,13 +372,11 @@ def try_reclaim(
         data = json.loads(stale.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         data = {}
-    horizon = float(data.get("ttl", ttl)) if data else ttl
-    age = now - float(data.get("time", 0.0)) if data else float("inf")
     try:
         stale.unlink()
     except OSError:
         pass
-    if age <= horizon:
+    if isinstance(data, dict) and data and not _expired(directory, data, ttl, now):
         return False  # owner renewed mid-race; its renewal recreated the lease
     return try_claim(directory, bid, worker, ttl, now)
 
@@ -361,6 +418,18 @@ def done_batch_ids(directory: Path) -> set[str]:
         return set()
 
 
+def reopen(directory: Path, batch_ids: Iterable[str]) -> None:
+    """Start a new run over a campaign: withdraw the finalize marker and the
+    done markers of ``batch_ids`` (the batches this run computes again)."""
+    for path in [Path(directory) / FINALIZE_MARKER] + [
+        _done_path(directory, bid) for bid in batch_ids
+    ]:
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            pass
+
+
 def try_finalize(directory: Path, worker: str) -> bool:
     """Win (or lose) the summary-writer election for a complete campaign."""
     try:
@@ -373,6 +442,27 @@ def try_finalize(directory: Path, worker: str) -> bool:
     with os.fdopen(fd, "w") as handle:
         json.dump({"worker": worker, "time": time.time()}, handle)
     return True
+
+
+def write_summary(
+    store: ResultStore, worker: str, telemetry: CampaignTelemetry
+) -> None:
+    """Append ``telemetry`` and the merged counts as the run's summary line.
+
+    Only the finalize election's winner calls this, which makes it the main
+    store's only writer after the header.
+    """
+    merged = store.merged_status()
+    summary = telemetry.to_dict()
+    summary["merged"] = {
+        "done": merged["done"],
+        "failed": merged["failed"],
+        "shards": merged["shards"],
+        "finalized_by": worker,
+    }
+    writer = ResultStore.open(store.path)
+    writer.append_summary(summary)
+    writer.close()
 
 
 class _LeaseRenewer:
@@ -492,6 +582,8 @@ def run_worker(
     progress: ProgressCallback | None = None,
     stream_to: str | Path | None = None,
     trace: "obs_trace.TraceContext | None" = None,
+    retry_failed: bool = False,
+    finalize: bool = True,
     **policy_overrides: Any,
 ) -> WorkerReport:
     """Join a campaign as one elastic lease worker; return when done.
@@ -507,6 +599,12 @@ def run_worker(
 
     On campaign completion the workers race a finalize election; the
     single winner appends the summary line to the main store.
+    ``finalize=False`` keeps this worker out of the election, for a caller
+    that holds it after its own workers return (see :func:`write_summary`).
+
+    ``retry_failed=True`` computes failed points again: a failed point
+    counts as finished only once its batch carries a done marker, so the
+    run that asks for it must first :func:`reopen` those batches.
 
     Trace context is resolved explicit ``trace`` -> frozen plan ->
     store manifest; when one is found it becomes this process's campaign
@@ -517,25 +615,14 @@ def run_worker(
     """
     from collections import deque
 
-    from repro.campaign.executor import _Coordinator, _make_policy
+    from repro.campaign.executor import _Coordinator, _make_policy, _Observers
 
     policy = _make_policy(policy, policy_overrides)
     # One reader for the whole run: each merged read below decodes only the
     # records appended since the previous one.
     store = ResultStore.open(store_path)
     if spec is None:
-        if task is None:
-            spec = store.spec()
-        else:
-            from repro.campaign.spec import ParameterSpace
-
-            data = store.spec_data()
-            spec = CampaignSpec.create(
-                name=data["name"],
-                space=ParameterSpace.from_json(data["space"]),
-                task=task,
-                defaults=data.get("defaults") or None,
-            )
+        spec = store.spec(task)
     worker = worker or obs_heartbeat.worker_id()
     ttl = float(policy.lease_ttl)
     if poll_interval is None:
@@ -552,23 +639,27 @@ def run_worker(
         manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store.path))
         if manifest:
             trace_ctx = obs_trace.TraceContext.from_dict(manifest.get("trace"))
-    prev_campaign_ctx = obs_trace.campaign_context()
-    own_sink = False
-    if trace_ctx is not None:
-        obs_trace.set_campaign(trace_ctx)
-        if obs.enabled() and not obs_trace.sink_configured():
-            obs_trace.configure_sink(
-                obs_trace.trace_dir(store.path), worker=worker
-            )
-            own_sink = True
-    worker_ctx = trace_ctx.child() if trace_ctx is not None else None
-    traced = worker_ctx is not None and obs_trace.sink_configured()
 
     all_points = list(spec.points())
     params_by_id = dict(all_points)
     index_by_id = {pid: i for i, (pid, _p) in enumerate(all_points)}
 
-    completed = store.merged_completed_ids()
+    def finished() -> set[str]:
+        """Point ids no batch of this run has to compute."""
+        if not retry_failed:
+            return store.merged_completed_ids()
+        done_ids = done_batch_ids(ldir)
+        settled = {
+            pid
+            for batch in plan["batches"]
+            if batch["id"] in done_ids
+            for pid in batch["points"]
+        }
+        return store.merged_completed_ids(include_failed=False) | (
+            store.merged_completed_ids() & settled
+        )
+
+    completed = finished()
     telemetry = CampaignTelemetry(
         total_points=len(all_points),
         workers=1,
@@ -577,48 +668,25 @@ def run_worker(
     )
     report = WorkerReport(worker=worker, telemetry=telemetry)
     shard = ResultStore.open_shard(store.path, worker, spec)
+    shard_lock = _hold_shard_lock(shard.path)
     coordinator = _Coordinator(spec.task, policy, telemetry, shard, progress)
-
-    if policy.heartbeat_interval is not None:
-        obs_heartbeat.ensure_emitter(
-            obs_heartbeat.heartbeat_dir(store.path), policy.heartbeat_interval
-        )
-    stream_emitter: obs_stream.StreamEmitter | None = None
-    if stream_to is not None or obs_stream.stream_requested():
-        stream_file = (
-            Path(stream_to)
-            if stream_to is not None
-            else obs_stream.stream_path(store.path)
-        )
-        stream_emitter = obs_stream.StreamEmitter(
-            stream_file,
-            _worker_stream_sample(
-                telemetry,
-                worker,
-                trace_id=trace_ctx.trace_id if trace_ctx is not None else None,
-            ),
-            policy.stream_interval,
-        )
-        stream_emitter.start()
-    obs_resources.configure(policy.memory_budget_mb)
-    obs_resources.ensure_tracemalloc()
-    # Sampling profiler: same ownership discipline as the trace sink —
-    # an already-running profiler (serve process joining its own job) is
-    # left alone; otherwise this worker samples itself and flushes its
-    # shard to <store>.profile/<worker>.json after every batch.
-    own_profiler = False
-    own_profile_sink = False
-    if (
-        (policy.profile or obs_profile.profile_requested())
-        and obs_profile.active() is None
-    ):
-        obs_profile.start()
-        own_profiler = True
-        if not obs_profile.sink_configured():
-            obs_profile.configure_sink(
-                obs_profile.profile_dir(store.path), worker=worker
-            )
-            own_profile_sink = True
+    # Span events, stream samples and profile shards are this worker's own:
+    # <store>.trace/<worker>.jsonl, <store>.profile/<worker>.json.
+    observers = _Observers(
+        store.path,
+        policy,
+        telemetry,
+        _worker_stream_sample(
+            telemetry,
+            worker,
+            trace_id=trace_ctx.trace_id if trace_ctx is not None else None,
+        ),
+        stream_to=stream_to,
+        trace=trace_ctx,
+        worker=worker,
+    )
+    worker_ctx = trace_ctx.child() if trace_ctx is not None else None
+    traced = worker_ctx is not None and obs_trace.sink_configured()
     renewer = _LeaseRenewer(ldir, worker, ttl)
     renewer.start()
 
@@ -669,7 +737,7 @@ def run_worker(
     run_start = time.time() if traced else 0.0
     try:
         while True:
-            completed = store.merged_completed_ids()
+            completed = finished()
             if len(completed) >= len(all_points):
                 report.complete = True
                 break
@@ -696,7 +764,7 @@ def run_worker(
             try:
                 # Re-read the merged set *after* claiming: points a dead
                 # worker already recorded must not be recomputed.
-                completed = store.merged_completed_ids()
+                completed = finished()
                 entries = deque(
                     (index_by_id[pid], pid, dict(params_by_id[pid]), 1)
                     for pid in batch["points"]
@@ -725,15 +793,9 @@ def run_worker(
     finally:
         renewer.stop()
         telemetry.lease_lost += renewer.lost
-        telemetry.heartbeat_errors += obs_heartbeat.stop_emitter()
-        if stream_emitter is not None:
-            stream_emitter.stop()
-            telemetry.stream_errors += stream_emitter.errors
-        if own_profiler:
-            obs_profile.stop()  # flushes the final shard when a sink is set
-            if own_profile_sink:
-                obs_profile.close_sink()
         shard.close()
+        if shard_lock is not None:
+            os.close(shard_lock)
         if traced:
             now = time.time()
             if idle_wall is not None:
@@ -749,25 +811,12 @@ def run_worker(
                 reclaims=report.reclaims,
                 complete=report.complete,
             )
-        obs_trace.set_campaign(prev_campaign_ctx)
-        if own_sink:
-            obs_trace.close_sink()
+        observers.close()
 
     report.points_done = telemetry.done
     report.points_failed = telemetry.failed
     telemetry.finish()
-    if report.complete and try_finalize(ldir, worker):
+    if report.complete and finalize and try_finalize(ldir, worker):
         report.finalized = True
-        merged = store.merged_status()
-        summary = telemetry.to_dict()
-        summary["merged"] = {
-            "done": merged["done"],
-            "failed": merged["failed"],
-            "shards": merged["shards"],
-            "finalized_by": worker,
-        }
-        # Election makes this the store's only post-header writer.
-        writer = ResultStore.open(store.path)
-        writer.append_summary(summary)
-        writer.close()
+        write_summary(store, worker, telemetry)
     return report

@@ -68,7 +68,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro._errors import ValidationError
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, ParameterSpace
 
 __all__ = ["ResultStore", "StoreCorruptError", "shard_dir"]
 
@@ -357,14 +357,21 @@ class ResultStore:
             raise ValidationError(f"{self.path} has no serialized spec")
         return data
 
-    def spec(self) -> CampaignSpec:
+    def spec(self, task: Any = None) -> CampaignSpec:
         """Rebuild the campaign spec embedded in the header.
 
-        Raises :class:`ValidationError` when the campaign was run with a
-        non-registry callable task (header carries ``task: null``); resume
-        such a store from the library by passing the task explicitly.
+        ``task`` replaces the header's task.  A campaign run with a
+        non-registry callable task (header carries ``task: null``) needs it;
+        without it this raises :class:`ValidationError`.
         """
         data = self.spec_data()
+        if task is not None:
+            return CampaignSpec.create(
+                name=data["name"],
+                space=ParameterSpace.from_json(data["space"]),
+                task=task,
+                defaults=data.get("defaults") or None,
+            )
         if not data.get("task"):
             raise ValidationError(
                 f"{self.path} was run with a non-registry task; resume it "
@@ -504,7 +511,7 @@ class ResultStore:
         statuses = [record["status"] for record in tail.points.values()]
         return self._snapshot(tail, statuses.count("ok"), statuses.count("failed"))
 
-    # -- multi-writer merge (lease-scheduler shards) -------------------------------
+    # -- multi-writer merge (lease-worker shards) -----------------------------------
 
     def shard_paths(self) -> list[Path]:
         """Shard store files next to this store, in deterministic name order."""

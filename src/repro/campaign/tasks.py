@@ -1,6 +1,6 @@
 """Built-in task adapters: existing analyses as one-line campaigns.
 
-A *task adapter* is a picklable callable ``params -> {metric: float}``.
+A *task adapter* is a callable ``params -> {metric: float}``.
 Registry-named adapters (via :func:`register_task`) are what makes a
 campaign spec serializable — the JSONL store records the name, and
 ``repro campaign resume`` re-resolves it in a fresh process.

@@ -7,20 +7,27 @@ The executor feeds every terminal point record through
 * wall time and summed per-point busy time, giving a worker-utilization
   estimate ``busy / (wall * workers)``;
 * per-worker :class:`~repro.core.memo.GridEvalCache` deltas.  The grid
-  cache is **per process**: each pool worker warms its own cold cache, so
-  a 4-worker campaign pays up to 4x the cold-miss cost of a serial run.
+  cache is **per process**: each worker process warms its own cache, so a
+  4-worker campaign pays up to 4x the cold-miss cost of a serial run.
   Telemetry surfaces this instead of hiding it — ``worker_caches`` lists
   each worker pid with its hit/miss totals, and ``cache`` aggregates them.
 
+A run of several lease workers builds its telemetry with :meth:`fold`
+over the merged records and :meth:`add_worker` over the workers.
+
 A progress callback ``(record, telemetry) -> None`` can be attached to a
-run for live reporting; the CLI uses it for its checkpoint lines.
+run for live reporting; the CLI uses it for its checkpoint lines.  It runs
+in the process that finalizes the record: with several lease workers that
+is each worker process, called with that worker's own telemetry (mode
+``lease-worker``, its own counts), so state it collects stays in that
+process.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs import spans as _obs_spans
 from repro.obs.health import max_severity, severity_counts
@@ -29,6 +36,18 @@ from repro.obs.registry import ObsRegistry, merge_snapshots
 __all__ = ["CampaignTelemetry", "ProgressCallback", "WorkerCacheStats"]
 
 ProgressCallback = Callable[[dict[str, Any], "CampaignTelemetry"], None]
+
+#: Counters a worker keeps about itself rather than about its points; a
+#: run of several workers sums them.
+WORKER_COUNTERS = (
+    "progress_errors",
+    "stream_errors",
+    "heartbeat_errors",
+    "lease_claims",
+    "lease_reclaims",
+    "lease_duplicates",
+    "lease_lost",
+)
 
 
 @dataclass
@@ -67,22 +86,21 @@ class CampaignTelemetry:
 
     total_points: int
     workers: int = 1
-    mode: str = "serial"  # "serial" | "pool" | "lease-worker" (+fallback tags)
+    mode: str = "serial"  # "serial" | "lease" (N local workers) | "lease-worker"
     done: int = 0
     failed: int = 0
     retried: int = 0
     skipped: int = 0  # already complete at resume time
     timeouts: int = 0  # terminal failures whose error was a PointTimeout
-    # -- live telemetry (heartbeat monitor / emitters; see executor) -----------
-    stalls: int = 0  # stall flags raised by the liveness monitor
+    # -- live telemetry (stall/straggler check, emitters; see executor) --------
+    stalls: int = 0  # points that ran past the stall threshold
     stragglers: int = 0  # points flagged as elapsed > k * median
     straggler_ids: list[str] = field(default_factory=list)
-    stall_duplicates: int = 0  # speculative re-runs whose result lost the race
     progress_errors: int = 0  # progress-callback exceptions (swallowed)
     stream_errors: int = 0  # stream-emitter exceptions (swallowed)
     heartbeat_errors: int = 0  # heartbeat-emitter exceptions (swallowed)
     timeout_degraded: int = 0  # points whose timeout could not be armed
-    # -- lease scheduler (multi-host; see repro.campaign.lease) ----------------
+    # -- lease workers (see repro.campaign.lease) ------------------------------
     lease_claims: int = 0  # batch leases this worker claimed
     lease_reclaims: int = 0  # expired leases this worker took over
     lease_duplicates: int = 0  # batches finished after another worker marked done
@@ -132,6 +150,28 @@ class CampaignTelemetry:
         obs_delta = record.get("obs")
         if obs_delta:
             self._obs = merge_snapshots(self._obs, obs_delta)
+
+    def fold(
+        self,
+        records: Iterable[Mapping[str, Any]],
+        observe: Callable[[Mapping[str, Any]], None] | None = None,
+    ) -> "CampaignTelemetry":
+        """Fold terminal records from any number of workers into the counters.
+
+        ``observe`` (the executor's stall/straggler check) sees each record
+        before it is folded.
+        """
+        for record in records:
+            if observe is not None:
+                observe(record)
+            self.record(record)
+        return self
+
+    def add_worker(self, worker: "CampaignTelemetry") -> None:
+        """Sum one worker's :data:`WORKER_COUNTERS` and notes into this run's."""
+        for name in WORKER_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(worker, name))
+        self.notes.extend(worker.notes)
 
     def health_event(
         self,
@@ -279,7 +319,6 @@ class CampaignTelemetry:
                 "stalls": self.stalls,
                 "stragglers": self.stragglers,
                 "straggler_ids": list(self.straggler_ids),
-                "stall_duplicates": self.stall_duplicates,
                 "progress_errors": self.progress_errors,
                 "stream_errors": self.stream_errors,
                 "heartbeat_errors": self.heartbeat_errors,
@@ -321,7 +360,7 @@ class CampaignTelemetry:
             f"~{self.cache_bytes / 1e6:.1f} MB) across "
             f"{len(self._workers_seen)} worker process(es)"
             + (
-                " — each pool worker warms its own cold cache"
+                " — each worker process warms its own cache"
                 if len(self._workers_seen) > 1
                 else ""
             ),

@@ -1,9 +1,9 @@
 """Vectorized batch adapters: N campaign points through one stacked evaluation.
 
-PR 6 batched pool *dispatch* (several points per future), which removed the
-per-point envelope overhead; these adapters remove the per-point *math*
-overhead by evaluating a whole batch through stacked array operations
-instead of N scalar closures.  Each batch adapter here is registered (via
+Lease batches carry several points per claim, which removes the per-point
+dispatch overhead; these adapters remove the per-point *math* overhead by
+evaluating a whole batch through stacked array operations instead of N
+scalar closures.  Each batch adapter here is registered (via
 :func:`repro.campaign.tasks.register_batch_task`) under the same name as a
 scalar adapter, and the executor uses it transparently when
 ``ExecutionPolicy.vectorize`` is on.

@@ -20,7 +20,7 @@ Campaign engine (:mod:`repro.campaign`)::
     python -m repro campaign watch RESULTS.jsonl [--interval S] [--once]
     python -m repro campaign tasks
 
-Multi-host execution (shared-filesystem lease scheduler)::
+Multi-host execution (shared-filesystem lease workers)::
 
     python -m repro campaign init SPEC.json --out RESULTS.jsonl
     python -m repro campaign worker RESULTS.jsonl   # on any host, any number
@@ -39,10 +39,11 @@ claimable).  See ``docs/CAMPAIGNS.md`` ("Multi-host execution").
                "axes": {"ratio": [0.05, 0.1, 0.2],
                         "separation": [2.0, 4.0, 8.0]}}}
 
-``run`` executes every point (process pool for ``--workers > 1``) into an
-append-only JSONL store; kill it at any moment and ``resume`` completes
-only the missing points.  ``status`` prints progress without touching the
-campaign.
+``run`` executes every point into an append-only JSONL store — serially,
+or on N lease workers on this host for ``--workers N`` (other hosts can
+join that store with ``worker``); kill it at any moment and ``resume``
+completes only the missing points.  ``status`` prints progress without
+touching the campaign.
 
 Observability reports (:mod:`repro.obs`)::
 
@@ -140,11 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     actions = campaign.add_subparsers(dest="campaign_command", required=True)
 
     def policy_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--workers", type=int, default=1, help="process count (1 = serial)")
+        sub.add_argument("--workers", type=int, default=1, help="lease workers (1 = serial)")
         sub.add_argument("--timeout", type=float, default=None, help="per-point timeout (s)")
         sub.add_argument("--retries", type=int, default=0, help="extra attempts per failed point")
         sub.add_argument("--backoff", type=float, default=0.0, help="retry backoff factor (s)")
-        sub.add_argument("--chunk-size", type=int, default=4, help="in-flight futures per worker")
         sub.add_argument(
             "--checkpoint-every", type=int, default=25, help="points between fsynced checkpoints"
         )
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--no-heartbeats",
             action="store_true",
-            help="disable heartbeats and the stall/straggler monitor",
+            help="disable heartbeats and the stall/straggler check",
         )
         sub.add_argument(
             "--stall-factor",
@@ -171,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=4.0,
             help="straggler threshold vs the median point time (default 4)",
-        )
-        sub.add_argument(
-            "--stall-action",
-            choices=("flag", "retry"),
-            default="flag",
-            help="on stall: flag only, or speculatively re-dispatch (default flag)",
         )
         sub.add_argument(
             "--stream",
@@ -199,16 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-point peak-RSS budget; points above it are flagged",
         )
         sub.add_argument(
-            "--scheduler",
-            choices=("auto", "serial", "pool", "lease"),
-            default="auto",
-            help="execution scheduler (default auto: pool when it pays off)",
-        )
-        sub.add_argument(
             "--batch-size",
             type=int,
             default=0,
-            help="points per dispatch/lease batch (0 = auto)",
+            help="points per lease batch (0 = auto)",
         )
         sub.add_argument(
             "--no-vectorize",
@@ -219,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--lease-ttl",
             type=float,
             default=30.0,
-            help="lease expiry horizon in seconds (lease scheduler)",
+            help="lease expiry horizon in seconds (lease workers)",
         )
         sub.add_argument(
             "--profile",
@@ -951,7 +939,6 @@ def _policy_from_args(args) -> "ExecutionPolicy":
 
     return ExecutionPolicy(
         workers=args.workers,
-        chunk_size=args.chunk_size,
         timeout=args.timeout,
         retries=args.retries,
         backoff=args.backoff,
@@ -961,10 +948,8 @@ def _policy_from_args(args) -> "ExecutionPolicy":
         ),
         stall_factor=args.stall_factor,
         straggler_factor=args.straggler_factor,
-        stall_action=args.stall_action,
         stream_interval=args.stream_interval,
         memory_budget_mb=args.memory_budget_mb,
-        scheduler=args.scheduler,
         batch_size=args.batch_size,
         vectorize=not args.no_vectorize,
         lease_ttl=args.lease_ttl,
@@ -987,12 +972,17 @@ def _progress_printer(quiet: bool):
         return None
 
     def progress(record, telemetry) -> None:
-        total = telemetry.total_points
         mark = "ok" if record["status"] == "ok" else "FAILED"
-        print(
-            f"[{telemetry.processed + telemetry.skipped}/{total}] "
-            f"{record['id']} {mark} ({record['elapsed']:.2f} s)"
-        )
+        if telemetry.mode == "lease-worker":
+            # A lease worker counts only its own points: no process sees
+            # the run-wide count while the workers share the map.
+            count = f"worker {record.get('worker')} #{telemetry.processed}"
+        else:
+            count = f"{telemetry.processed + telemetry.skipped}/{telemetry.total_points}"
+        # One write per line (print writes the newline apart): lease
+        # workers share this stdout.
+        sys.stdout.write(f"[{count}] {record['id']} {mark} ({record['elapsed']:.2f} s)\n")
+        sys.stdout.flush()
 
     return progress
 
@@ -1044,7 +1034,7 @@ def _campaign(args) -> int:
             obs_manifest.manifest_path(out),
             obs_manifest.build_manifest(
                 spec,
-                ExecutionPolicy(scheduler="lease", batch_size=args.batch_size),
+                ExecutionPolicy(batch_size=args.batch_size or DEFAULT_LEASE_BATCH),
             ),
         )
         print(

@@ -51,18 +51,19 @@ recomputation.
 
 Multi-process use
 -----------------
-The cache is **per process**: pool workers (e.g. a
-:mod:`repro.campaign` run) each own a private instance and silently warm
-it from cold — an N-worker campaign pays up to N cold warm-ups.  Two hooks
-make that visible and manageable:
+The cache is **per process**: worker processes (e.g. the lease workers of
+a :mod:`repro.campaign` run) each own a private instance — a forked one
+starts from a copy of its parent's, a spawned or remote one from cold, so
+an N-worker campaign pays up to N cold warm-ups.  Two hooks make that
+visible and manageable:
 
 * :func:`cache_snapshot` returns a plain-``dict`` (picklable) snapshot of
   the counters *plus* the configuration, safe to ship across process
   boundaries; the campaign telemetry aggregates per-worker deltas of it.
 * :func:`configure` is **idempotent**: re-applying the current
-  configuration is a no-op, so it is safe as a pool-worker initializer
-  (both under ``fork``, where the worker inherits the parent's
-  configuration, and under ``spawn``, where it starts fresh).
+  configuration is a no-op, so it is safe to run in every worker (both
+  under ``fork``, where the worker inherits the parent's configuration,
+  and under ``spawn``, where it starts fresh).
 """
 
 from __future__ import annotations
@@ -357,8 +358,8 @@ class GridEvalCache:
         ``max_bytes`` / ``ttl_seconds`` accept an explicit ``None`` to
         remove the respective limit; leaving them unpassed changes nothing.
         Idempotent: re-applying the current values changes nothing (no
-        eviction, no counter reset), so this is safe to call once per pool
-        worker regardless of the start method.
+        eviction, no counter reset), so this is safe to call once per
+        worker process regardless of the start method.
         """
         with self._lock:
             if enabled is not None:

@@ -38,13 +38,12 @@ Evaluation comes in three flavours:
 Grid results are memoized per operator node in
 :data:`repro.core.memo.grid_cache` — structured and dense blocks under
 separate cache flavors — and returned **read-only**; ``.copy()`` before
-mutating.  Subclasses implement :meth:`_structured_grid`; overriding
-:meth:`_dense_grid` directly still works but is deprecated.
+mutating.  Subclasses implement :meth:`_structured_grid` (or, for
+dense-only operators, the scalar :meth:`dense`).
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC
 
 import numpy as np
@@ -69,30 +68,9 @@ def default_element_order(n: int, m: int) -> int:
     ``max(|n|, |m|, 1)`` — never less than 1, so feedback closures are never
     silently evaluated on a degenerate 1x1 truncation.  This is the one rule
     used by both :meth:`HarmonicOperator.element` and
-    :func:`repro.core.sweep.sweep_element`; the historical
-    ``max(|n|, |m|)`` default of ``element`` (order 0 for the baseband
-    element) is deprecated.
+    :func:`repro.core.sweep.sweep_element`.
     """
     return max(abs(n), abs(m), 1)
-
-
-#: Classes already warned about their legacy ``_dense_grid`` override.
-_LEGACY_DENSE_GRID_WARNED: set[type] = set()
-
-
-def _warn_legacy_dense_grid(cls: type) -> None:
-    """One DeprecationWarning per class for direct ``_dense_grid`` overrides."""
-    if cls in _LEGACY_DENSE_GRID_WARNED:
-        return
-    _LEGACY_DENSE_GRID_WARNED.add(cls)
-    warnings.warn(
-        f"{cls.__name__} overrides _dense_grid directly; implement the "
-        "structured protocol (_structured_grid) instead — dense-only "
-        "operators keep working, wrapped as kind='dense', but forgo "
-        "structure-aware composition and backend kernels",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class HarmonicOperator(ABC):
@@ -156,8 +134,7 @@ class HarmonicOperator(ABC):
         """Structure-tagged kernel behind :meth:`evaluate` — override this.
 
         The base class raises; :meth:`_structured_kernel` falls back to
-        wrapping a legacy ``_dense_grid`` / ``dense`` override as a dense
-        structured grid.
+        wrapping a scalar ``dense`` override as a dense structured grid.
         """
         raise NotImplementedError
 
@@ -166,18 +143,12 @@ class HarmonicOperator(ABC):
     ) -> StructuredGrid:
         """Dispatch to the best available kernel for this class.
 
-        Preference order: the structured protocol, then a legacy
-        ``_dense_grid`` override (deprecation-warned once per class), then a
-        scalar ``dense`` override looped over the grid.
+        Preference order: the structured protocol, then a scalar ``dense``
+        override looped over the grid.
         """
         cls = type(self)
         if cls._structured_grid is not HarmonicOperator._structured_grid:
             return self._structured_grid(s_arr, order, backend)
-        if cls._dense_grid is not HarmonicOperator._dense_grid:
-            _warn_legacy_dense_grid(cls)
-            return StructuredGrid.dense(
-                self._dense_grid(s_arr, order), order=order, backend=backend
-            )
         if cls.dense is not HarmonicOperator.dense:
             size = 2 * order + 1
             out = np.empty((s_arr.size, size, size), dtype=complex)
@@ -185,8 +156,7 @@ class HarmonicOperator(ABC):
                 out[i] = self.dense(complex(si), order)
             return StructuredGrid.dense(out, order=order, backend=backend)
         raise TypeError(
-            f"{cls.__name__} implements none of _structured_grid, _dense_grid "
-            "or dense"
+            f"{cls.__name__} implements neither _structured_grid nor dense"
         )
 
     # -- dense evaluation (oracle path) -------------------------------------------
@@ -235,11 +205,9 @@ class HarmonicOperator(ABC):
     def _dense_grid(self, s_arr: np.ndarray, order: int) -> np.ndarray:
         """Vectorized dense kernel behind :meth:`dense_grid`.
 
-        The base implementation densifies the structured kernel.
-        Overriding this directly is deprecated (implement
-        :meth:`_structured_grid`); :class:`FeedbackOperator` keeps an
-        explicit override so the dense path stays a genuinely independent
-        stacked solve.
+        The base implementation densifies the structured kernel;
+        :class:`FeedbackOperator` overrides it so the dense path stays a
+        genuinely independent stacked solve (the dense oracle).
         """
         return np.asarray(
             self._structured_kernel(s_arr, order, resolve_backend(None)).to_dense()
@@ -266,21 +234,10 @@ class HarmonicOperator(ABC):
         """Single HTM element ``H_{n,m}(s)``.
 
         ``order`` defaults to the canonical rule ``max(|n|, |m|, 1)`` (see
-        :func:`default_element_order`).  The historical default
-        ``max(|n|, |m|)`` — which evaluated the baseband element on a
-        degenerate order-0 truncation — is deprecated; a warning is emitted
-        in the only case where the two rules differ (``n == m == 0``).
+        :func:`default_element_order`); pass ``order=0`` explicitly for the
+        degenerate 1x1 truncation.
         """
         if order is None:
-            if n == 0 and m == 0:
-                warnings.warn(
-                    "element(s, 0, 0) now defaults to truncation order 1 "
-                    "(canonical rule max(|n|, |m|, 1)); the old order-0 "
-                    "default is deprecated — pass order=0 explicitly if the "
-                    "degenerate 1x1 truncation is really wanted",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
             order = default_element_order(n, m)
         return self.htm(s, order).element(n, m)
 

@@ -9,7 +9,7 @@ periodically rewrites a single small JSON file
     <store>.heartbeats/<hostname>-<pid>.json
 
 keyed by the process's *worker id* — hostname plus pid — so workers on
-different hosts sharing one store (the lease scheduler's multi-host mode)
+different hosts sharing one store (lease workers on several hosts)
 can never collide even when their pids coincide.  Each beat carries the
 worker id, host, pid, current phase (``point`` / ``idle`` / ``stopped``), the point
 id it is working on, how long that point has been running, how many points
@@ -190,9 +190,9 @@ class _Emitter:
 def ensure_emitter(directory: str | Path, interval: float) -> None:
     """Start this process's heartbeat emitter (idempotent per directory).
 
-    Called from the pool initializer in every worker and from the
-    coordinator on the serial path.  A second call with the same directory
-    is a no-op; a different directory stops the old emitter first.
+    Called by every lease worker and by the serial path.  A second call
+    with the same directory is a no-op; a different directory stops the
+    old emitter first.
     """
     global _emitter
     directory = Path(directory)

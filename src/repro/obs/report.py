@@ -5,7 +5,9 @@ The ``repro obs`` CLI subcommands are thin wrappers over this module.  A
 
 * a campaign result store (JSONL) — the merged obs snapshot is read from
   the final ``summary`` record (falling back to merging the per-point
-  ``obs`` deltas of an interrupted run), or
+  ``obs`` deltas of an interrupted run); a store with worker shards whose
+  summary is missing or holds one lease worker's telemetry is instead
+  folded from every worker's point records, or
 * a raw obs snapshot JSON file (e.g. one written via ``REPRO_OBS_EXPORT``).
 
 Export formats: canonical JSON (:func:`to_json`), flat CSV rows
@@ -75,18 +77,32 @@ def load_snapshot(path: str | Path) -> dict[str, Any]:
 
 
 def _from_store(path: Path) -> dict[str, Any]:
-    """Obs snapshot of a campaign store: last summary, else merged deltas."""
+    """Obs snapshot of a campaign store: last summary, else merged deltas.
+
+    A ``--workers N`` run's summary (mode ``lease``) already folds every
+    worker's records plus the caller's stall, straggler and manifest
+    events.  A store of ``repro campaign worker`` processes has a summary
+    holding only the finalize winner's telemetry (mode ``lease-worker``),
+    or none yet; its snapshot is folded from every worker's point records.
+    """
     from repro.campaign.store import ResultStore
+    from repro.campaign.telemetry import CampaignTelemetry
 
     store = ResultStore.open(path)
     merged: dict[str, Any] | None = None
-    summary_obs: dict[str, Any] | None = None
+    summary: dict[str, Any] | None = None
     for record in store.records():
         if record.get("kind") == "summary" and record.get("obs"):
-            summary_obs = record["obs"]
+            summary = record
         elif record.get("kind") == "point" and record.get("obs"):
             merged = merge_snapshots(merged, record["obs"])
-    snapshot = summary_obs or merged
+    if store.shard_paths() and (summary is None or summary.get("mode") == "lease-worker"):
+        records = store.merged_point_records()
+        folded = CampaignTelemetry(total_points=len(records)).fold(records)
+        snapshot = folded.obs_snapshot()
+        if snapshot is not None:
+            return snapshot
+    snapshot = (summary or {}).get("obs") or merged
     if snapshot is None:
         raise ValidationError(
             f"{path} holds no observability data — run the campaign with "

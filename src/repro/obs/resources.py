@@ -2,9 +2,9 @@
 
 Campaign points that bloat memory are as dangerous as points that hang: a
 single design point whose truncated HTM allocation grows past the machine
-leads to an OOM-killed worker, a broken pool, and a serial crawl through
-the remaining points.  This module gives the campaign executor cheap,
-always-available memory facts and an opt-in allocation profile:
+leads to an OOM-killed worker whose batch another worker must take over.
+This module gives the campaign executor cheap, always-available memory
+facts and an opt-in allocation profile:
 
 * :func:`peak_rss_bytes` — the process-lifetime peak resident set size
   (one ``getrusage`` call, normalised to bytes across platforms);
@@ -60,8 +60,8 @@ def tracemalloc_requested() -> bool:
 def configure(budget_mb: float | None = None) -> None:
     """Set (or clear) the per-point memory budget for this process.
 
-    The executor calls this in every worker (pool initializer) and on the
-    serial path, so the budget travels with the :class:`ExecutionPolicy`.
+    The executor calls this in every lease worker and on the serial path,
+    so the budget travels with the :class:`ExecutionPolicy`.
     """
     global _budget_bytes
     _budget_bytes = None if budget_mb is None else int(float(budget_mb) * 1e6)

@@ -4,10 +4,9 @@ The model follows the W3C Trace Context recommendation in miniature: a
 ``traceparent`` header of the form ``00-<32 hex trace_id>-<16 hex span_id>-<2
 hex flags>`` names one position in a trace tree.  ``repro.serve`` accepts and
 emits the header, the campaign executor stamps the context into the store
-manifest, and pool/lease workers inherit it through the task envelope (pool
-initargs) or the frozen lease plan, so every point record, stream sample, and
-health event produced on any host can be joined back to the originating
-request by ``trace_id``.
+manifest, and lease workers inherit it through the frozen lease plan, so
+every point record, stream sample, and health event produced on any host can
+be joined back to the originating request by ``trace_id``.
 
 Span *events* (as opposed to the aggregate-only :mod:`repro.obs.registry`)
 are appended to per-worker JSONL shards under ``<store>.trace/`` — the same
@@ -158,7 +157,7 @@ def format_traceparent(ctx: TraceContext) -> str:
 
 # ---------------------------------------------------------------------------
 # Context propagation: a thread-local "current" stack plus one process-wide
-# campaign context that pool/lease workers inherit from the task envelope.
+# campaign context that lease workers inherit from the frozen plan.
 # ---------------------------------------------------------------------------
 
 _local = threading.local()

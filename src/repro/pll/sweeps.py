@@ -7,8 +7,8 @@ design — e.g. no unity crossing — records NaN instead of aborting the whole
 sweep) and CSV export.
 
 Sweeps execute through the :mod:`repro.campaign` engine: each sweep is a
-one-axis campaign, so the same call optionally gets a process pool, a
-crash-safe JSONL result store and run telemetry (``workers=`` /
+one-axis campaign, so the same call optionally gets several worker
+processes, a crash-safe JSONL result store and run telemetry (``workers=`` /
 ``store_path=`` / ``timeout=``), and :meth:`SweepResult.from_records`
 round-trips store output back into the structured result object.
 """
@@ -190,12 +190,12 @@ def sweep(
     (the campaign engine captures the error instead of aborting the sweep).
 
     The evaluation runs as a :mod:`repro.campaign` campaign: pass
-    ``workers=4`` for a process pool (requires picklable ``designer`` and
-    ``metrics`` — module-level functions), ``store_path=`` for a resumable
-    JSONL result store, and any other :class:`repro.campaign.
-    ExecutionPolicy` field (``timeout=``, ``retries=``...) as keyword
-    arguments.  ``backend`` installs a scoped compute-backend default
-    around every point evaluation (each pool worker re-installs it).
+    ``workers=4`` for four worker processes (forked, so ``designer`` and
+    ``metrics`` may be closures), ``store_path=`` for a resumable JSONL
+    result store, and any other :class:`repro.campaign.ExecutionPolicy`
+    field (``timeout=``, ``retries=``...) as keyword arguments.
+    ``backend`` installs a scoped compute-backend default around every
+    point evaluation, in every worker.
     """
     from repro.campaign import CampaignSpec, ListSpace, run_campaign
 

@@ -46,7 +46,6 @@ from repro._errors import ReproError, ValidationError
 from repro.campaign import tasks as campaign_tasks
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec, GridSpace
-from repro.campaign.store import ResultStore
 from repro.obs import health as obs_health
 from repro.obs import manifest as obs_manifest
 from repro.obs import profile as obs_profile
@@ -738,11 +737,9 @@ class AnalysisServer:
         if status is None:
             raise ServeError(404, "unknown_job", f"no job {job_id!r}")
         if query.get("results") in ("1", "true", "yes") and status.get("complete"):
-            records = await loop.run_in_executor(
-                self._executor,
-                lambda: ResultStore.open(self.jobs.store_path(job_id)).point_records(),
+            status["records"] = await loop.run_in_executor(
+                self._executor, self.jobs.records, job_id
             )
-            status["records"] = records
         return status
 
     # -- POST endpoints ------------------------------------------------------------

@@ -50,7 +50,8 @@ class JobManager:
     internal maps are guarded by one lock.  The campaign executor itself
     runs serially inside the job thread — a serving process multiplexes
     many small requests, so one core per background job is the right
-    footprint (``workers`` raises it for dedicated job hosts).
+    footprint (``workers`` raises it for dedicated job hosts: the job
+    thread then forks ``workers - 1`` lease workers and is worker 0).
     """
 
     def __init__(
@@ -130,7 +131,7 @@ class JobManager:
             ResultStore.create(store, spec)
         manifest = obs_manifest.build_manifest(
             spec,
-            ExecutionPolicy(scheduler="lease", batch_size=self.lease_batch),
+            ExecutionPolicy(batch_size=self.lease_batch or DEFAULT_LEASE_BATCH),
         )
         if trace is not None:
             manifest["trace"] = trace.to_dict()
@@ -195,6 +196,18 @@ class JobManager:
             out["error"] = error
         out.update(poll_store(store))
         return out
+
+    def records(self, job_id: str) -> list[dict[str, Any]]:
+        """A job's terminal point records in spec order, across its workers.
+
+        A job run by several lease workers keeps its records in worker
+        shards, not in the main store.
+        """
+        from repro.campaign.store import ResultStore
+
+        store = ResultStore.open(self.store_path(job_id))
+        by_id = {r["id"]: r for r in store.merged_point_records()}
+        return [by_id[pid] for pid, _params in store.spec().points() if pid in by_id]
 
     def list_jobs(self) -> list[dict[str, Any]]:
         """All jobs this directory knows about (running or not)."""

@@ -1,9 +1,11 @@
-"""Property: every scheduler produces the same record set for a campaign.
+"""Property: every execution path produces the same record set for a campaign.
 
-The serial path is the oracle; the pool and lease schedulers are
-allowed to differ only in *how* points reach terminal records — never in
-the records themselves (id, status, metrics, params), modulo ordering
-and per-run incidentals (elapsed, worker, tracebacks, batch tags).
+The serial path (``workers=1``) is the oracle; ``workers=2`` runs two
+lease workers on this host, and independently launched lease workers join
+a store by themselves.  They may differ only in *how* points reach
+terminal records — never in the records themselves (id, status, metrics,
+params), modulo ordering and per-run incidentals (elapsed, worker,
+tracebacks, batch tags).
 """
 
 import math
@@ -71,20 +73,23 @@ class TestSchedulerEquivalence:
         spec = CampaignSpec.create(
             name="prop", space=ListSpace.of(points), task="design_summary"
         )
-        serial = run_campaign(
-            spec, policy=ExecutionPolicy(scheduler="serial", vectorize=False)
-        )
         tmp = tmp_path_factory.mktemp("lease")
+        serial = run_campaign(
+            spec, tmp / "serial.jsonl", policy=ExecutionPolicy(vectorize=False)
+        )
         lease_result = run_campaign(
             spec,
             tmp / "r.jsonl",
             policy=ExecutionPolicy(
-                scheduler="lease", batch_size=2, heartbeat_interval=None
+                workers=2, batch_size=2, heartbeat_interval=None
             ),
         )
         assert _essentials(lease_result.records) == _essentials(serial.records)
         store = ResultStore.open(tmp / "r.jsonl")
         assert max(store.terminal_record_counts().values()) == 1
+        assert _essentials(store.merged_point_records()) == _essentials(
+            ResultStore.open(tmp / "serial.jsonl").point_records()
+        )
 
     @pytest.mark.campaign
     def test_three_way_equivalence_with_stores(self, tmp_path):
@@ -98,12 +103,12 @@ class TestSchedulerEquivalence:
         serial = run_campaign(
             spec,
             tmp_path / "serial.jsonl",
-            policy=ExecutionPolicy(scheduler="serial", vectorize=False),
+            policy=ExecutionPolicy(vectorize=False),
         )
-        pool = run_campaign(
+        two_workers = run_campaign(
             spec,
-            tmp_path / "pool.jsonl",
-            policy=ExecutionPolicy(scheduler="pool", workers=2, batch_size=3),
+            tmp_path / "two.jsonl",
+            policy=ExecutionPolicy(workers=2, batch_size=3),
         )
         lease_store = tmp_path / "lease.jsonl"
         ResultStore.create(lease_store, spec)
@@ -113,9 +118,9 @@ class TestSchedulerEquivalence:
         run_worker(lease_store, batch_size=4, heartbeat_interval=None, max_idle=0.2)
 
         oracle = _essentials(serial.records)
-        assert _essentials(pool.records) == oracle
+        assert _essentials(two_workers.records) == oracle
         merged = ResultStore.open(lease_store).merged_point_records()
         assert _essentials(merged) == oracle
-        for path in (tmp_path / "serial.jsonl", tmp_path / "pool.jsonl", lease_store):
+        for path in (tmp_path / "serial.jsonl", tmp_path / "two.jsonl", lease_store):
             counts = ResultStore.open(path).terminal_record_counts()
             assert max(counts.values()) == 1, path

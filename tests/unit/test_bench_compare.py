@@ -121,6 +121,15 @@ def test_informational_metrics_never_gate():
     assert compare_benchmarks(_records(BASELINE), _records(current)).ok
 
 
+def test_metric_missing_on_one_side_is_not_gated():
+    # bench_campaign omits speedup when the host has fewer CPUs than workers.
+    without = {k: v for k, v in BASELINE[0].items() if k != "speedup"}
+    for base, current in (([without], [BASELINE[0]]), ([BASELINE[0]], [without])):
+        comparison = compare_benchmarks(_records(base), _records(current))
+        assert comparison.ok
+        assert "speedup" not in {d.metric for d in comparison.deltas}
+
+
 def test_no_overlapping_kinds_raises():
     with pytest.raises(ValidationError, match="no bench kind"):
         compare_benchmarks(

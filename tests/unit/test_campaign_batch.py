@@ -1,9 +1,9 @@
-"""Batched pool dispatch: per-point semantics survive the batch envelope.
+"""Lease batches: per-point semantics survive the batch envelope.
 
-Batching (``ExecutionPolicy.batch_size``) changes only how points travel
-to workers — one future carries several points.  These tests pin what
-must NOT change: record identity with the serial path, per-point retry
-and failure capture, and the auto-sizing rule's boundaries.
+Batching (``ExecutionPolicy.batch_size``) changes only how points reach
+the lease workers — one lease carries several points.  These tests pin
+what must NOT change: record identity with the serial path, per-point
+retry and failure capture, and the auto-sizing rule's boundaries.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from repro.campaign import (
     ListSpace,
     run_campaign,
 )
-from repro.campaign.executor import _auto_batch_size, _pool_entry_batch
+from repro.campaign.executor import _auto_batch_size, run_point_batch
 
 MARKED = 0.75
 
@@ -69,7 +69,7 @@ class TestBatchedPoolSemantics:
         serial = run_campaign(spec, workers=1)
         for batch_size in (0, 1, 5, 100):
             pooled = run_campaign(spec, workers=2, batch_size=batch_size)
-            assert pooled.telemetry.mode.startswith("pool")
+            assert pooled.telemetry.mode == "lease"
             assert _metrics(pooled) == _metrics(serial), batch_size
 
     def test_batch_larger_than_map_is_fine(self):
@@ -88,10 +88,10 @@ class TestBatchedPoolSemantics:
         assert failed["attempts"] == 2  # retried, then terminally failed
         assert failed["error"]["type"] == "RuntimeError"
 
-    def test_pool_entry_batch_returns_one_record_per_payload(self):
+    def test_run_point_batch_one_record_per_payload(self):
         payloads = [
             (square_task, f"p{i}", {"x": float(i)}, None, 1) for i in range(3)
         ]
-        records = _pool_entry_batch(payloads)
+        records = run_point_batch(payloads)
         assert [r["id"] for r in records] == ["p0", "p1", "p2"]
         assert [r["metrics"]["square"] for r in records] == [0.0, 1.0, 4.0]

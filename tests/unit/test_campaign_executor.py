@@ -1,10 +1,9 @@
 """Failure-path tests for the campaign executor.
 
-Covers the ISSUE acceptance behaviors: retry-then-record-failure, per-point
-timeout on a hanging adapter (including adapters that catch ``Exception``
-broadly), resume-after-kill from a partial JSONL store, and serial/pool
-result equivalence.  Module-level task functions keep everything picklable
-for the process-pool paths.
+Covers retry-then-record-failure, per-point timeout on a hanging adapter
+(including adapters that catch ``Exception`` broadly), resume-after-kill
+from a partial JSONL store, and the equivalence of serial runs with runs of
+two lease workers (``workers=2``).
 """
 
 import math
@@ -55,6 +54,12 @@ def pid_task(params):
     return {"pid": float(os.getpid())}
 
 
+def slow_pid_task(params):
+    """Slow enough that both workers find a batch to claim."""
+    time.sleep(0.2)
+    return pid_task(params)
+
+
 def xspace(values=(0.25, 0.5, MARKED, 1.0)):
     return ListSpace.of([{"x": float(v)} for v in values])
 
@@ -98,7 +103,7 @@ class TestErrorCapture:
         with pytest.raises(ValidationError):
             ExecutionPolicy(timeout=0.0)
         with pytest.raises(ValidationError):
-            ExecutionPolicy(chunk_size=0)
+            ExecutionPolicy(lease_ttl=0.0)
 
 
 @pytest.mark.skipif(
@@ -123,11 +128,15 @@ class TestTimeout:
 
 
 class TestSerialPoolEquivalence:
+    """``workers=2`` runs two lease workers; the serial path is the oracle."""
+
     def test_pool_results_bitwise_identical_to_serial(self):
         spec = make_spec(square_task, values=np.linspace(0.1, 2.0, 8))
         serial = run_campaign(spec, workers=1)
-        pooled = run_campaign(spec, workers=2, chunk_size=2)
-        assert pooled.telemetry.mode == "pool"
+        pooled = run_campaign(spec, workers=2, batch_size=2)
+        assert serial.telemetry.mode == "serial"
+        assert pooled.telemetry.mode == "lease"
+        assert pooled.telemetry.workers == 2
         assert [r["id"] for r in pooled.records] == [
             r["id"] for r in serial.records
         ]
@@ -136,22 +145,70 @@ class TestSerialPoolEquivalence:
         assert serial.metric("square").tobytes() == pooled.metric("square").tobytes()
 
     def test_pool_actually_uses_worker_processes(self):
-        spec = make_spec(pid_task, values=np.linspace(0.1, 1.6, 6))
-        result = run_campaign(spec, workers=2)
+        # Six 0.2 s points in one-point batches: the forked helper claims
+        # a batch long before the caller could finish them all.
+        spec = make_spec(slow_pid_task, values=np.linspace(0.1, 1.6, 6))
+        result = run_campaign(spec, workers=2, batch_size=1)
         worker_pids = {r["worker"] for r in result.records}
-        assert os.getpid() not in worker_pids
+        assert len(worker_pids) >= 2
+        assert result.telemetry.done == 6
 
-    def test_unpicklable_task_falls_back_to_serial(self):
-        marker = object()  # closures over unpicklables cannot cross the pool
+    def test_closure_task_runs_on_two_processes(self):
+        marker = object()  # unpicklable: fork copies the task, never pickles it
 
         def task(params):
             assert marker is not None
-            return {"m": float(params["x"])}
+            time.sleep(0.2)
+            return {"m": float(params["x"]), "pid": float(os.getpid())}
 
-        result = run_campaign(make_spec(task), workers=4)
-        assert result.telemetry.mode == "serial"
+        result = run_campaign(make_spec(task), workers=2, batch_size=1)
+        assert result.telemetry.mode == "lease"
         assert result.telemetry.done == 4
-        assert any("not picklable" in note for note in result.telemetry.notes)
+        assert len({r["metrics"]["pid"] for r in result.records}) == 2
+
+    def test_more_workers_than_cores_record_each_point_once(self, tmp_path):
+        # Four lease workers race for 40 one-point batches: every claim,
+        # done marker and merge must still yield one terminal record each.
+        spec = make_spec(square_task, values=np.linspace(0.1, 4.0, 40))
+        serial = run_campaign(spec)
+        raced = run_campaign(
+            spec, tmp_path / "r.jsonl", workers=4, batch_size=1,
+            heartbeat_interval=None,
+        )
+        assert [r["metrics"] for r in raced.records] == [
+            r["metrics"] for r in serial.records
+        ]
+        counts = ResultStore.open(tmp_path / "r.jsonl").terminal_record_counts()
+        assert len(counts) == 40 and set(counts.values()) == {1}
+        # A claim can land just after another worker finished and released
+        # that batch; it computes nothing and counts as a duplicate.
+        telemetry = raced.telemetry
+        assert telemetry.lease_claims - telemetry.lease_duplicates == 40
+
+    def test_storeless_run_returns_every_record_and_leaves_no_files(
+        self, tmp_path, monkeypatch
+    ):
+        # Lease workers need a store: a private temporary one, removed
+        # after the records are read back.
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        result = run_campaign(make_spec(square_task), workers=2)
+        assert result.store_path is None
+        assert result.telemetry.mode == "lease" and result.telemetry.done == 4
+        assert [r["params"]["x"] for r in result.records] == [0.25, 0.5, MARKED, 1.0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overwrite_starts_without_the_old_runs_shards(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        run_campaign(make_spec(flaky_task), path, workers=2)
+        again = run_campaign(make_spec(square_task), path, workers=2, overwrite=True)
+        assert again.telemetry.done == 4 and not again.failed_records
+        assert ResultStore.open(path).merged_status()["failed"] == 0
+
+    def test_without_fork_runs_serially_with_a_note(self, monkeypatch):
+        monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
+        result = run_campaign(make_spec(square_task), workers=2)
+        assert result.telemetry.mode == "serial" and result.telemetry.done == 4
+        assert any("fork is unavailable" in n for n in result.telemetry.notes)
 
     def test_pool_failures_capture_per_point(self):
         result = run_campaign(
@@ -229,6 +286,24 @@ class TestResume:
         assert healed.telemetry.skipped == 3
         assert healed.telemetry.done == 1 and healed.telemetry.failed == 0
         assert not healed.failed_records
+
+    def test_retry_failed_resume_on_two_workers(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        first = run_campaign(make_spec(flaky_task), path, workers=2, batch_size=1)
+        assert first.telemetry.failed == 1
+        healed = resume_campaign(
+            path, task=square_task, retry_failed=True, workers=2
+        )
+        assert healed.telemetry.skipped == 3
+        assert healed.telemetry.done == 1 and healed.telemetry.failed == 0
+        assert not healed.failed_records
+        assert ResultStore.open(path).merged_status()["failed"] == 0
+        summaries = [
+            r for r in ResultStore.open(path).records() if r["kind"] == "summary"
+        ]
+        assert len(summaries) == 2  # one per run
+        assert summaries[-1]["merged"]["done"] == 4
+        assert summaries[-1]["merged"]["failed"] == 0
 
 
 class TestTelemetry:

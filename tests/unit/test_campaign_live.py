@@ -4,13 +4,12 @@ The ISSUE 5 acceptance criteria live here:
 
 * **stall detection** — a task sleeping past the heartbeat stall
   threshold produces a ``campaign.worker_stalled`` health event and a
-  straggler flag in telemetry; a clean run produces neither;
-* **stall escalation** — ``stall_action="retry"`` speculatively
-  re-dispatches the stalled point, the first terminal record wins and the
-  loser is counted as a duplicate;
-* **kill-resume demo** — a pooled run with heartbeats + stream enabled is
-  SIGKILLed mid-run; ``repro campaign watch --once`` renders sane state
-  from the torn files, ``resume_campaign`` verifies the manifest, and the
+  straggler flag in telemetry, serially and with two lease workers; a
+  clean run produces neither;
+* **kill-resume demo** — a two-worker run with heartbeats + stream enabled
+  is SIGKILLed mid-run; ``repro campaign watch --once`` renders sane state
+  from the torn files, ``resume_campaign`` verifies the manifest, reclaims
+  the dead workers' leases at once (well inside the lease ttl), and the
   resumed run completes with a continuous stream timeline;
 * **progress-callback isolation** — the callback sees every record with
   live telemetry, and a raising callback is counted, never fatal;
@@ -37,10 +36,12 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.executor import _run_point
+from repro.campaign.store import ResultStore, shard_dir
 from repro.obs import manifest as obs_manifest
 from repro.obs import spans as obs
 from repro.obs import stream as obs_stream
 from repro.obs.heartbeat import heartbeat_dir
+from repro.obs.report import load_snapshot
 
 pytestmark = pytest.mark.campaign
 
@@ -65,16 +66,6 @@ def quick_task(params):
 def sleepy_task(params):
     if params["x"] == SLEEP_MARK:
         time.sleep(STALL_SLEEP)
-    return {"y": params["x"]}
-
-
-def stuck_once_task(params):
-    """Sleeps on its first execution of the marked point; fast afterwards."""
-    if params["x"] == 0.0:
-        marker = Path(os.environ["REPRO_TEST_STALL_MARKER"])
-        if not marker.exists():
-            marker.write_text("seen")
-            time.sleep(1.2)
     return {"y": params["x"]}
 
 
@@ -133,6 +124,22 @@ class TestStallDetection:
         assert t.stalls >= 1
         assert "campaign.worker_stalled#warning" in _event_names(t)
 
+    def test_two_worker_store_keeps_the_run_telemetry(self, tmp_path):
+        # The caller writes the telemetry it folded from both workers as the
+        # run's one summary, so `repro obs health` and `campaign status`
+        # see the stall events only the caller computes.
+        store = tmp_path / "r.jsonl"
+        run_campaign(_spec(sleepy_task), store, policy=_stall_policy(workers=2))
+        assert "campaign.worker_stalled#warning" in load_snapshot(store)["events"]
+        summaries = [
+            r for r in ResultStore.open(store).records() if r["kind"] == "summary"
+        ]
+        assert len(summaries) == 1
+        summary = summaries[0]
+        assert (summary["mode"], summary["workers"], summary["done"]) == ("lease", 2, 8)
+        assert summary["live"]["stalls"] >= 1
+        assert summary["merged"]["done"] == 8
+
     def test_clean_run_flags_nothing(self, tmp_path):
         result = run_campaign(
             _spec(quick_task),
@@ -167,27 +174,6 @@ class TestStallDetection:
         )
         assert result.telemetry.stalls == 0
         assert not heartbeat_dir(store).exists()
-
-
-class TestStallEscalation:
-    def test_retry_action_speculatively_redispatches(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(
-            "REPRO_TEST_STALL_MARKER", str(tmp_path / "marker")
-        )
-        result = run_campaign(
-            _spec(stuck_once_task),
-            tmp_path / "r.jsonl",
-            policy=_stall_policy(workers=2, stall_action="retry"),
-        )
-        t = result.telemetry
-        assert len(result.ok_records) == 8
-        assert t.stalls >= 1
-        assert t.stall_duplicates >= 1  # the losing copy was dropped
-        assert any("stall escalation" in note for note in t.notes)
-        # every spec point finalized exactly once despite the duplicate
-        assert len({r["id"] for r in result.records}) == 8
 
 
 class TestProgressCallback:
@@ -275,6 +261,16 @@ class TestManifestOnResume:
         assert updated["runs"] == 2
         assert updated["spec_hash"] != "deadbeefdeadbeef"  # rewritten clean
 
+    def test_mismatch_reaches_a_two_worker_store(self, tmp_path):
+        store = tmp_path / "r.jsonl"
+        run_campaign(_spec(quick_task, n=4), store, policy=_stall_policy(workers=2))
+        mpath = obs_manifest.manifest_path(store)
+        manifest = obs_manifest.load_manifest(mpath)
+        manifest["spec_hash"] = "deadbeefdeadbeef"
+        obs_manifest.write_manifest(mpath, manifest)
+        resume_campaign(store, task=quick_task, policy=_stall_policy(workers=2))
+        assert "campaign.manifest_mismatch#warning" in load_snapshot(store)["events"]
+
     def test_clean_resume_has_no_mismatch(self, tmp_path):
         store = tmp_path / "r.jsonl"
         run_campaign(_spec(quick_task, n=4), store, policy=_stall_policy())
@@ -302,6 +298,14 @@ run_campaign(spec, sys.argv[1], workers=2, heartbeat_interval=0.1,
 """
 
 
+def _point_lines(store: Path) -> int:
+    """Terminal point lines in the store and every worker shard."""
+    files = [store, *sorted(shard_dir(store).glob("*.jsonl"))]
+    return sum(
+        path.read_text().count('"kind":"point"') for path in files if path.exists()
+    )
+
+
 class TestKillResumeDemo:
     def test_sigkill_watch_resume_with_continuous_stream(self, tmp_path):
         store = tmp_path / "kill.jsonl"
@@ -317,14 +321,14 @@ class TestKillResumeDemo:
             [sys.executable, "-c", _KILL_CHILD, str(store)],
             env=env,
             cwd=Path(__file__).resolve().parents[2],
-            start_new_session=True,  # killpg takes the pool workers down too
+            start_new_session=True,  # killpg takes the forked worker down too
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
         )
         try:
             deadline = time.time() + 30.0
             while time.time() < deadline:
-                if store.exists() and store.read_text().count('"kind":"point"') >= 3:
+                if _point_lines(store) >= 3:
                     break
                 if proc.poll() is not None:
                     pytest.fail(
@@ -340,6 +344,7 @@ class TestKillResumeDemo:
             except ProcessLookupError:
                 pass
             proc.wait(timeout=10)
+            proc.stderr.close()
 
         # The corpse: torn store tail is possible, heartbeats + stream remain.
         assert heartbeat_dir(store).exists()
@@ -359,8 +364,10 @@ class TestKillResumeDemo:
         assert "COMPLETE" not in frame.splitlines()[0]
         assert "manifest: spec" in frame
 
-        # Resume: manifest verified (no drift -> no mismatch notes), run
-        # completes, and the stream timeline continues monotonically.
+        # Resume: manifest verified (no drift -> no mismatch notes), the
+        # dead workers' leases reclaimed at once (the ttl is the default
+        # 30 s), the run completes, and the stream timeline continues.
+        started = time.monotonic()
         result = resume_campaign(
             store,
             task=slow_task,
@@ -369,6 +376,7 @@ class TestKillResumeDemo:
             stream_path=stream_file,
             stream_interval=0.1,
         )
+        assert time.monotonic() - started < ExecutionPolicy().lease_ttl
         t = result.telemetry
         assert not [n for n in t.notes if "manifest mismatch" in n]
         assert t.skipped >= 3  # pre-kill records were not recomputed
@@ -378,18 +386,24 @@ class TestKillResumeDemo:
         manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store))
         assert manifest["runs"] == 2
 
+        # Every lease worker streams its own timeline into the one file.
         samples = obs_stream.read_stream(stream_file)
         assert len(samples) > len(pre_kill_samples)
-        times = [s["time"] for s in samples]
-        assert times == sorted(times)
-        assert samples[-1]["done"] + samples[-1]["failed"] + t.skipped >= 14 or (
-            samples[-1]["done"] >= t.done
+        assert all({"seq", "time", "done", "worker"} <= set(s) for s in samples)
+        timelines: dict = {}
+        for sample in samples:
+            timelines.setdefault(sample["worker"], []).append(sample["time"])
+        assert all(times == sorted(times) for times in timelines.values())
+        resumed = samples[len(pre_kill_samples):]
+        assert min(s["time"] for s in resumed) >= max(
+            s["time"] for s in pre_kill_samples
         )
-        # every parseable line is a dict with the stream schema basics
-        assert all({"seq", "time", "done"} <= set(s) for s in samples)
+        finals = {s["worker"]: s for s in resumed}  # each worker's last sample
+        assert sum(s["done"] for s in finals.values()) == t.done
         # the store itself was never corrupted by the side-channel writers
-        from repro.campaign import campaign_status
+        from repro.campaign import ResultStore, campaign_status
 
         status = campaign_status(store)
         assert status["complete"] is True
+        assert max(ResultStore.open(store).terminal_record_counts().values()) == 1
         assert not heartbeat_dir(store).exists()  # cleaned by the clean finish

@@ -100,3 +100,32 @@ def test_obs_export_json_from_store_cli(tmp_path, capsys):
 
     assert main(["obs", "top", str(store_path), "-n", "3"]) == 0
     assert "top 3 span bucket(s)" in capsys.readouterr().out
+
+
+def test_two_worker_store_snapshot_covers_every_point(tmp_path, capsys):
+    # Each lease worker's records carry its span deltas; the store's one
+    # summary line holds only the finalize winner's telemetry, so the
+    # store's snapshot is folded from every worker's records instead.
+    spec = CampaignSpec.create(
+        name="obs-two-workers",
+        space=GridSpace.of(
+            separation=[3.0, 4.0, 5.0, 6.0],
+            ratio=[float(v) for v in np.linspace(0.02, 0.2, 5)],
+        ),
+        task="stability_cell",
+        defaults={"points": 100},
+    )
+    store_path = tmp_path / "run.jsonl"
+    result = run_campaign(spec, store_path, workers=2, batch_size=2, vectorize=False)
+    assert result.telemetry.processed == 20
+
+    from repro.obs.report import load_snapshot
+
+    snapshot = load_snapshot(store_path)
+    assert sum(s["count"] for s in _point_spans(snapshot)) == 20
+    assert snapshot["counters"]["campaign.points_processed"]["value"] == 20.0
+    pids = {pid for s in _point_spans(snapshot) for pid in s.get("pids") or []}
+    assert pids == {r["worker"] for r in result.records}
+
+    assert main(["obs", "summary", str(store_path)]) == 0
+    assert "campaign.points_processed" in capsys.readouterr().out

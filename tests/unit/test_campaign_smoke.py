@@ -1,4 +1,4 @@
-"""Tier-1 campaign smoke: a tiny end-to-end pool run must stay fast.
+"""Tier-1 campaign smoke: a tiny end-to-end two-worker run must stay fast.
 
 Marked ``campaign`` so the engine's tests can be selected with
 ``pytest -m campaign``; this one rides in the default ``pytest -x -q``
@@ -28,8 +28,8 @@ def test_four_point_pool_campaign_under_ten_seconds(tmp_path):
 
     assert elapsed < 10.0, f"smoke campaign took {elapsed:.1f}s"
     assert result.telemetry.done == 4 and result.telemetry.failed == 0
-    assert result.telemetry.mode in ("pool", "serial")
-    # The physics survived the trip through the pool: effective margins
+    assert result.telemetry.mode == "lease" and result.telemetry.workers == 2
+    # The physics survived the trip through the workers: effective margins
     # degrade as the loop gets faster (paper Fig. 7 trend).
     ratios = result.parameter("ratio")
     eff = result.metric("phase_margin_eff_deg")

@@ -99,6 +99,18 @@ class TestCampaignCommand:
         status_out = capsys.readouterr().out
         assert "cli-map" in status_out and "complete: True" in status_out
 
+    def test_two_worker_run_prints_one_worker_line_per_point(self, spec_path, capfd):
+        # Each lease worker prints the points it finishes, tagged with its
+        # pid and its own count; the status line reports the whole run.
+        out_path = spec_path.parent / "two.jsonl"
+        argv = ["campaign", "run", str(spec_path), "--out", str(out_path), "--workers", "2"]
+        assert main(argv) == 0
+        lines = [line for line in capfd.readouterr().out.splitlines() if line.startswith("[")]
+        assert len(lines) == 2
+        assert all(line.startswith("[worker ") for line in lines)
+        assert main(["campaign", "status", str(out_path)]) == 0
+        assert "last run: lease x2" in capfd.readouterr().out
+
     def test_default_out_path_next_to_spec(self, spec_path, capsys):
         assert main(["campaign", "run", str(spec_path), "--quiet"]) == 0
         assert (spec_path.parent / "map.results.jsonl").exists()

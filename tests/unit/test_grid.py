@@ -229,18 +229,6 @@ class TestDefaultOrderUnification:
         assert default_element_order(2, -3) == 3
         assert default_element_order(-1, 0) == 1
 
-    def test_element_warns_only_in_divergent_case(self):
-        op = IdentityOperator(W0)
-        with pytest.warns(DeprecationWarning):
-            value = op.element(0.5j, 0, 0)
-        assert value == pytest.approx(1.0)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            op.element(0.5j, 1, 0)  # rule unchanged for |n| or |m| >= 1
-            op.element(0.5j, 0, 0, order=0)  # explicit order never warns
-
     def test_element_and_sweep_element_agree(self):
         op = _loop_operator()
         omega = np.array([0.3])

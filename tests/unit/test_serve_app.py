@@ -351,6 +351,53 @@ class TestJobSpill:
         assert store.exists()
         assert ResultStore.open(store).status()["complete"]
 
+    def test_two_worker_job_returns_every_record(self, tmp_path):
+        # With job_workers=2 the job runs two lease workers, whose records
+        # live in worker shards rather than in the main store.
+        from repro.campaign.store import shard_dir
+
+        async def scenario(port, server):
+            st, _, body = await _request(
+                port, "POST", "/v1/stability_map", self._body()
+            )
+            assert st == 202, body
+            await self._poll_until_complete(port, body["job_id"])
+            st, _, with_records = await _request(
+                port, "GET", f"/v1/jobs/{body['job_id']}?results=1"
+            )
+            assert st == 200, with_records
+            return body["job_id"], with_records["records"]
+
+        job_id, records = _run(
+            ServerConfig(
+                port=0,
+                spill_threshold=4,
+                jobs_dir=str(tmp_path / "jobs"),
+                job_workers=2,
+            ),
+            scenario,
+        )
+        store = ResultStore.open(tmp_path / "jobs" / f"{job_id}.jsonl")
+        # One record per point, in the order of the job's spec.
+        assert [r["id"] for r in records] == [pid for pid, _ in store.spec().points()]
+        assert len(records) == 6 and all(r["status"] == "ok" for r in records)
+        assert len(list(shard_dir(store.path).glob("*.jsonl"))) == 2
+        assert store.point_records() == []
+
+    def test_prepared_job_without_lease_batch_uses_the_default(self, tmp_path):
+        # --no-job-autostart with no --job-lease-batch: the manifest policy
+        # and the frozen plan both carry the default lease batch.
+        from repro.campaign.lease import DEFAULT_LEASE_BATCH, lease_dir
+        from repro.obs import manifest as obs_manifest
+        from repro.serve.jobs import JobManager
+
+        manager = JobManager(tmp_path / "jobs", autostart=False)
+        store = manager.store_path(manager.submit(self._spec()))
+        plan = json.loads((lease_dir(store) / "plan.json").read_text())
+        manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store))
+        assert plan["batch_size"] == manifest["policy"]["batch_size"]
+        assert plan["batch_size"] == DEFAULT_LEASE_BATCH
+
     def test_killed_job_store_is_resumed_not_recomputed(self, tmp_path):
         """SIGKILL-mid-job simulation: a partial store (header + 3 of 6
         points) left by a dead server.  Resubmitting the same request

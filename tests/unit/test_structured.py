@@ -1,14 +1,12 @@
 """Structured lazy-evaluation layer: kind algebra, caching, and the
-legacy-override compatibility/deprecation contract of ``evaluate()``.
+scalar-``dense`` fallback of ``evaluate()``.
 
 The arithmetic itself is cross-checked against the dense oracle by
 ``tests/property/test_prop_structured.py``; this module pins the *shape*
 of the API — which structure tag each composition produces, how the memo
 separates the two evaluation flavors, and how subclasses written against
-the old ``_dense_grid``/``dense`` protocols keep working.
+the scalar ``dense`` protocol keep working.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -152,20 +150,6 @@ class TestMemoFlavors:
         out[0, 0] = 123.0  # fresh copy, not a frozen cache entry
 
 
-class _LegacyDenseGridOperator(HarmonicOperator):
-    """Pre-refactor style: overrides ``_dense_grid`` directly."""
-
-    def _dense_grid(self, s_arr, order):
-        size = 2 * order + 1
-        out = np.zeros((s_arr.size, size, size), dtype=complex)
-        idx = np.arange(size)
-        out[:, idx, idx] = s_arr[:, None]
-        return out
-
-    def fingerprint(self):
-        return (type(self).__name__, self._omega0)
-
-
 class _LegacyScalarOperator(HarmonicOperator):
     """Oldest style: only the scalar ``dense`` protocol."""
 
@@ -183,19 +167,6 @@ class _NoKernelOperator(HarmonicOperator):
 
 
 class TestLegacyOverrides:
-    def test_legacy_dense_grid_override_warns_once_per_class(self):
-        op = _LegacyDenseGridOperator(W0)
-        with pytest.warns(DeprecationWarning, match="_dense_grid"):
-            grid = op.evaluate(S, 1)
-        assert grid.kind == "dense"
-        np.testing.assert_allclose(
-            np.asarray(grid.to_dense()), op._dense_grid(S, 1)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid_cache.clear()
-            op.evaluate(S, 1)  # second evaluation: no second warning
-
     def test_legacy_scalar_override_still_evaluates(self):
         op = _LegacyScalarOperator(W0)
         grid = op.evaluate(S, 1)

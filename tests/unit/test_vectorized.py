@@ -61,12 +61,9 @@ class TestBitwiseIdentity:
     @pytest.mark.parametrize("task", ["margins", "band_map", "stability_cell"])
     def test_campaign_vectorized_matches_serial_scalar(self, task):
         spec = CampaignSpec.create(name="t", space=SPACE, task=task)
-        scalar = run_campaign(
-            spec, policy=ExecutionPolicy(scheduler="serial", vectorize=False)
-        )
+        scalar = run_campaign(spec, policy=ExecutionPolicy(vectorize=False))
         vectorized = run_campaign(
-            spec,
-            policy=ExecutionPolicy(scheduler="pool", workers=2, batch_size=6),
+            spec, policy=ExecutionPolicy(workers=2, batch_size=6)
         )
         ref = _records_by_id(scalar)
         assert len(vectorized.records) == len(scalar.records) == 6
@@ -120,11 +117,9 @@ class TestPerSlotFailure:
             ]
         )
         spec = CampaignSpec.create(name="t", space=space, task="margins")
-        scalar = run_campaign(
-            spec, policy=ExecutionPolicy(scheduler="serial", vectorize=False)
-        )
+        scalar = run_campaign(spec, policy=ExecutionPolicy(vectorize=False))
         vectorized = run_campaign(
-            spec, policy=ExecutionPolicy(scheduler="pool", workers=2, batch_size=3)
+            spec, policy=ExecutionPolicy(workers=2, batch_size=3)
         )
         ref = _records_by_id(scalar)
         for record in vectorized.records:

@@ -30,14 +30,29 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro._errors import ValidationError
 from repro._validation import check_order, check_positive
-from repro.lti.rational import RationalFunction
+from repro.lti.rational import (
+    UNITY_ROOT_TOL,
+    RationalFunction,
+    poly_value_and_derivative,
+    polynomial_roots,
+    swept_angle,
+)
+from repro.obs import spans as obs
 from repro.pll.architecture import PLL
+
+
+class PoleGroup(NamedTuple):
+    """``num(z) / (z - pole)^order``: the terms of one pole cluster."""
+
+    pole: complex
+    order: int
+    num: np.ndarray
 
 
 class ZTransferFunction:
@@ -46,20 +61,35 @@ class ZTransferFunction:
     Thin z-semantics wrapper over :class:`RationalFunction` (polynomials are
     variable-agnostic): adds unit-circle evaluation, discrete stability and
     discrete frequency response.
+
+    A ``G(z)`` built as a sum of :class:`PoleGroup` terms (as
+    :func:`sampled_open_loop` builds it) is evaluated from those terms: the
+    expanded denominator loses accuracy near a multiple pole by cancellation
+    (``eps / |z - 1|^2`` at the loop's double pole at ``z = 1``), each
+    ``(z - pole)^order`` does not.  Algebra (poles, the closed loop) uses the
+    expanded polynomials.
     """
 
-    __slots__ = ("_rf", "period")
+    __slots__ = ("_rf", "period", "_groups")
 
     def __init__(self, num: Sequence[complex], den: Sequence[complex], period: float):
         self._rf = RationalFunction(num, den)
         self.period = check_positive("period", period)
+        self._groups: tuple[PoleGroup, ...] | None = None
 
     @classmethod
-    def from_rational(cls, rf: RationalFunction, period: float) -> "ZTransferFunction":
-        """Wrap an existing rational function."""
+    def from_rational(
+        cls,
+        rf: RationalFunction,
+        period: float,
+        groups: Sequence[PoleGroup] | None = None,
+    ) -> "ZTransferFunction":
+        """Wrap an existing rational function (``groups``: the same function
+        as a sum of pole-cluster terms, used for evaluation)."""
         obj = cls.__new__(cls)
         object.__setattr__(obj, "_rf", rf)
         object.__setattr__(obj, "period", check_positive("period", period))
+        object.__setattr__(obj, "_groups", None if groups is None else tuple(groups))
         return obj
 
     @property
@@ -69,21 +99,73 @@ class ZTransferFunction:
 
     def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """Evaluate at ``z``."""
-        return self._rf(z)
+        if self._groups is None:
+            return self._rf(z)
+        z_arr = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = sum(
+                np.polyval(g.num, z_arr) / (z_arr - g.pole) ** g.order for g in self._groups
+            )
+        return complex(value) if z_arr.ndim == 0 else value
 
     def at_s(self, s: complex | np.ndarray) -> complex | np.ndarray:
         """Evaluate at ``z = e^{sT}`` — the s-plane image used by the identity
         ``lambda(s) = G_z(e^{sT})``."""
-        return self._rf(np.exp(np.asarray(s, dtype=complex) * self.period))
+        return self(np.exp(np.asarray(s, dtype=complex) * self.period))
 
     def frequency_response(self, omega: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate on the unit circle at ``z = e^{j omega T}``."""
         omega_arr = np.asarray(omega, dtype=float)
-        return np.asarray(self._rf(np.exp(1j * omega_arr * self.period)), dtype=complex)
+        return np.asarray(self(np.exp(1j * omega_arr * self.period)), dtype=complex)
 
     def eval_jomega(self, omega: Sequence[float] | np.ndarray) -> np.ndarray:
         """Alias for margin tooling compatibility."""
         return self.frequency_response(omega)
+
+    # -- the unit circle without a grid (see repro.lti.bode.exact_margins) ----
+
+    def unity_gain_frequencies(self) -> np.ndarray:
+        """Frequencies ``0 < omega < pi/T`` where ``|G(e^{j omega T})| = 1``, ascending.
+
+        With ``G = N/D`` and both padded to degree ``n``, the polynomial
+        ``P(z) = N(z) z^n conj(N)(1/z) - D(z) z^n conj(D)(1/z)`` equals
+        ``z^n (|N|^2 - |D|^2)`` on ``|z| = 1``, so its unit-circle roots are
+        the unity-gain points (as :func:`numpy.roots` finds them, not yet
+        polished).
+        """
+        num, den = self._rf.num, self._rf.den
+        size = max(num.size, den.size)
+        num = np.concatenate([np.zeros(size - num.size), num])
+        den = np.concatenate([np.zeros(size - den.size), den])
+        gap = np.convolve(num, np.conj(num[::-1])) - np.convolve(den, np.conj(den[::-1]))
+        roots = polynomial_roots(gap)
+        on_circle = roots[np.abs(np.abs(roots) - 1.0) <= UNITY_ROOT_TOL]
+        omega = np.angle(on_circle) / self.period
+        return np.sort(omega[omega > 0])
+
+    def log_gain(self, omega: float) -> tuple[float, float]:
+        """``log|G(e^{j omega T})|`` and its derivative in ``omega``."""
+        z = cmath.exp(1j * omega * self.period)
+        if self._groups is None:
+            value, dlog = self._rf.log_derivative_at(z)
+        else:
+            value, dlog = _groups_log_derivative(self._groups, z)
+        return value, (1j * self.period * z * dlog).real
+
+    def phase_change(self, omega_a: float, omega_b: float) -> float | None:
+        """Change of ``arg G(e^{j omega T})`` from ``omega_a`` to ``omega_b``.
+
+        Taken from the zeros and poles along the unit-circle arc
+        (:func:`~repro.lti.rational.swept_angle`); ``None`` when a root lies
+        on it.  Needs ``0 <= omega_a < omega_b < pi/T``.
+        """
+        start = cmath.exp(1j * omega_a * self.period)
+        stop = cmath.exp(1j * omega_b * self.period)
+        zeros = swept_angle(polynomial_roots(self._rf.num), start, stop, arc=True)
+        poles = swept_angle(polynomial_roots(self._rf.den), start, stop, arc=True)
+        if zeros is None or poles is None:
+            return None
+        return zeros - poles
 
     def poles(self) -> np.ndarray:
         """Poles in the z-plane."""
@@ -98,6 +180,22 @@ class ZTransferFunction:
 
     def __repr__(self) -> str:
         return f"ZTransferFunction(order={self._rf.den_degree}, T={self.period:.6g})"
+
+
+def _groups_log_derivative(groups: tuple[PoleGroup, ...], z: complex) -> tuple[float, complex]:
+    """``log|G(z)|`` and ``G'(z) / G(z)`` of a sum of pole groups at one point."""
+    value = slope = 0j
+    for group in groups:
+        n, dn = poly_value_and_derivative(group.num, z)
+        gap = z - group.pole
+        if gap == 0:
+            return math.inf, complex(math.nan)
+        scale = gap**-group.order
+        value += n * scale
+        slope += (dn - group.order * n / gap) * scale
+    if value == 0:
+        return -math.inf, complex(math.nan)
+    return math.log(abs(value)), slope / value
 
 
 def _impulse_invariant_numerator(
@@ -125,7 +223,7 @@ def _impulse_invariant_numerator(
 
 def _pole_group_transform(
     items: list[tuple[int, complex]], pole: complex, period: float
-) -> RationalFunction:
+) -> PoleGroup:
     """Combine all terms of one pole cluster over the shared ``(z - a)^mu``.
 
     Building the common denominator *structurally* (rather than adding
@@ -139,25 +237,31 @@ def _pole_group_transform(
     for order, residue in items:
         piece = _impulse_invariant_numerator(residue, a, order, period)
         for _ in range(mu - order):
-            piece = np.polymul(piece, base)
+            piece = np.convolve(piece, base)
         num_total = np.polyadd(num_total, piece)
-    den = np.array([1.0], dtype=complex)
-    for _ in range(mu):
-        den = np.polymul(den, base)
-    return RationalFunction(num_total, den)
+    return PoleGroup(a, mu, num_total)
 
 
-def _z_transform_of_samples(f_s: RationalFunction, period: float) -> RationalFunction:
+def _z_transform_of_samples(f_s: RationalFunction, period: float) -> list[PoleGroup]:
     """Z-transform of the samples of ``L^{-1}{f_s}`` via partial fractions."""
     direct, terms = f_s.partial_fractions()
     if np.any(np.abs(direct) > 0):
         raise ValidationError("unexpected direct term in strictly proper F(s)")
-    groups: dict[complex, list[tuple[int, complex]]] = {}
+    clusters: dict[complex, list[tuple[int, complex]]] = {}
     for term in terms:
-        groups.setdefault(term.pole, []).append((term.order, term.residue))
+        clusters.setdefault(term.pole, []).append((term.order, term.residue))
+    return [_pole_group_transform(items, pole, period) for pole, items in clusters.items()]
+
+
+def _sum_groups(groups: list[PoleGroup]) -> RationalFunction:
+    """The pole groups as one rational function of ``z``."""
     total = RationalFunction.constant(0.0)
-    for pole, items in groups.items():
-        total = total + _pole_group_transform(items, pole, period)
+    for group in groups:
+        base = np.array([1.0, -group.pole], dtype=complex)
+        den = np.array([1.0], dtype=complex)
+        for _ in range(group.order):
+            den = np.convolve(den, base)
+        total = total + RationalFunction(group.num, den)
     return total
 
 
@@ -172,6 +276,11 @@ def sampled_open_loop(pll: PLL) -> ZTransferFunction:
 
     In both cases ``G_z(e^{sT})`` reproduces the paper's ``lambda(s)``.
     """
+    with obs.span("baselines.zdomain.sampled_open_loop"):
+        return _sampled_open_loop(pll)
+
+
+def _sampled_open_loop(pll: PLL) -> ZTransferFunction:
     from repro.blocks.pfd import SampleHoldPFD
 
     if pll.has_delay:
@@ -186,7 +295,7 @@ def sampled_open_loop(pll: PLL) -> ZTransferFunction:
         # multiplication would leave a removable num/den pair at z = 1 that
         # poisons the closed-loop pole test.
         stepped = f_s * RationalFunction.integrator()
-        base = _z_transform_of_samples(stepped, period)
+        base = _sum_groups(_z_transform_of_samples(stepped, period))
         den = base.den
         quotient, remainder = np.polydiv(den, np.array([1.0, -1.0]))
         rem_scale = float(np.max(np.abs(np.atleast_1d(remainder))))
@@ -204,7 +313,8 @@ def sampled_open_loop(pll: PLL) -> ZTransferFunction:
             "impulse-invariant sampling requires relative degree >= 2 "
             f"(got {f_s.relative_degree}); g(0+) would contribute a half-sample term"
         )
-    return ZTransferFunction.from_rational(_z_transform_of_samples(f_s, period), period)
+    groups = _z_transform_of_samples(f_s, period)
+    return ZTransferFunction.from_rational(_sum_groups(groups), period, groups)
 
 
 def closed_loop_z(open_loop: ZTransferFunction) -> ZTransferFunction:

@@ -214,15 +214,16 @@ def stability_cell_task(params: dict[str, Any]) -> dict[str, float]:
     """One (separation, ratio) cell of a stability map: z-poles + margins."""
     from repro.baselines.zdomain import closed_loop_z, sampled_open_loop
     from repro.pll.design import shape_phase_margin_deg
-    from repro.pll.margins import compare_margins
+    from repro.pll.margins import effective_margin
 
     with _task_backend(params):
         pll = design_from_params(params)
-        closed = closed_loop_z(sampled_open_loop(pll))
-        poles = closed.poles()
+        # One G_z gives both the closed-loop z-poles and the effective margin.
+        sampled = sampled_open_loop(pll)
+        poles = closed_loop_z(sampled).poles()
         radius = float(np.max(np.abs(poles))) if poles.size else 0.0
         out = {
-            "z_stable": 1.0 if closed.is_stable() else 0.0,
+            "z_stable": 1.0 if radius < 1.0 else 0.0,
             "z_pole_radius": radius,
             "lti_phase_margin_deg": shape_phase_margin_deg(
                 float(params.get("separation", 4.0))
@@ -231,9 +232,9 @@ def stability_cell_task(params: dict[str, Any]) -> dict[str, float]:
         out.update(
             _nan_safe(
                 {
-                    "phase_margin_eff_deg": lambda p: compare_margins(
-                        p, points=int(params.get("points", 2000))
-                    ).phase_margin_eff_deg,
+                    "phase_margin_eff_deg": lambda p: effective_margin(
+                        p, points=int(params.get("points", 2000)), sampled=sampled
+                    )[1],
                 },
                 pll,
             )

@@ -1,12 +1,14 @@
-"""Vectorized batch adapters: N campaign points through one stacked evaluation.
+"""Batch adapters: N campaign points through one adapter call.
 
 Lease batches carry several points per claim, which removes the per-point
-dispatch overhead; these adapters remove the per-point *math* overhead by
-evaluating a whole batch through stacked array operations instead of N
-scalar closures.  Each batch adapter here is registered (via
+dispatch overhead.  Each batch adapter here is registered (via
 :func:`repro.campaign.tasks.register_batch_task`) under the same name as a
 scalar adapter, and the executor uses it transparently when
-``ExecutionPolicy.vectorize`` is on.
+``ExecutionPolicy.vectorize`` is on.  ``band_map`` evaluates its batch
+through stacked array operations; ``margins`` and ``stability_cell`` run
+their scalar adapter point by point, because their margins come from
+polynomial roots per design (:func:`repro.lti.bode.exact_margins`) and
+leave no frequency samples to share across a stack.
 
 The contract is strict — the scalar adapter is the correctness oracle:
 
@@ -22,8 +24,8 @@ The contract is strict — the scalar adapter is the correctness oracle:
   unusable; the executor then falls back to the scalar path per point, so
   a batch bug degrades performance, never correctness.
 
-Points are grouped internally by the parameters that shape the evaluation
-(grid bounds, point counts, order, backend); a batch mixing shapes simply
+``band_map`` groups points internally by the parameters that shape the
+evaluation (``omega0``, points, order); a batch mixing shapes simply
 produces several smaller stacks.
 """
 
@@ -37,7 +39,9 @@ import numpy as np
 from repro.campaign.tasks import (
     _task_backend,
     design_from_params,
+    margins_task,
     register_batch_task,
+    stability_cell_task,
 )
 
 __all__ = ["band_map_batch", "margins_batch", "stability_cell_batch"]
@@ -57,56 +61,23 @@ def _grouped(
     return groups
 
 
-def _margins_metrics(margins) -> dict[str, float]:
-    return {
-        "omega_ug_lti": margins.omega_ug_lti,
-        "phase_margin_lti_deg": margins.phase_margin_lti_deg,
-        "omega_ug_eff": margins.omega_ug_eff,
-        "phase_margin_eff_deg": margins.phase_margin_eff_deg,
-        "bandwidth_extension": margins.bandwidth_extension,
-        "margin_degradation": margins.margin_degradation,
-    }
+def _each(
+    task: Callable[[dict[str, Any]], dict[str, float]], batch: list[dict[str, Any]]
+) -> list[dict[str, float] | Exception]:
+    """The scalar adapter per point, each failure captured in its slot."""
+    results: list[dict[str, float] | Exception] = []
+    for params in batch:
+        try:
+            results.append(task(params))
+        except Exception as exc:
+            results.append(exc)
+    return results
 
 
 @register_batch_task("margins")
 def margins_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Exception]:
-    """Vectorized `margins`: stacked magnitude scan, shared response samples.
-
-    Uses :func:`repro.pll.margins.compare_margins_batch`, which evaluates
-    each design's ``A`` and ``lambda`` once (the scalar path evaluates each
-    twice) and runs the unity-crossing scan across the stacked design axis.
-    """
-    from repro.pll.margins import compare_margins_batch
-
-    results: list[dict[str, float] | Exception] = [None] * len(batch)  # type: ignore[list-item]
-    groups = _grouped(
-        batch,
-        lambda p: (
-            float(p.get("omega0", 2 * math.pi)),
-            int(p.get("points", 4000)),
-            p.get("backend"),
-        ),
-    )
-    for indices in groups.values():
-        points = int(batch[indices[0]].get("points", 4000))
-        plls = []
-        live: list[int] = []
-        for i in indices:
-            try:
-                with _task_backend(batch[i]):
-                    plls.append(design_from_params(batch[i]))
-                live.append(i)
-            except Exception as exc:
-                results[i] = exc
-        if not plls:
-            continue
-        with _task_backend(batch[live[0]]):
-            outcomes = compare_margins_batch(plls, points=points)
-        for i, outcome in zip(live, outcomes):
-            results[i] = (
-                outcome if isinstance(outcome, Exception) else _margins_metrics(outcome)
-            )
-    return results
+    """`margins` point by point (each design's margins come from its own roots)."""
+    return _each(margins_task, batch)
 
 
 @register_batch_task("band_map")
@@ -173,65 +144,6 @@ def band_map_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Excep
 
 @register_batch_task("stability_cell")
 def stability_cell_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Exception]:
-    """Vectorized `stability_cell`: per-point z-domain + grouped margin scans.
-
-    The z-domain pole analysis is cheap and stays per-point; the expensive
-    effective-margin scan runs through the grouped
-    :func:`~repro.pll.margins.compare_margins_batch` path.  A design whose
-    margin scan fails records ``nan`` for ``phase_margin_eff_deg`` exactly
-    like the scalar adapter's ``_nan_safe`` wrapper.
-    """
-    from repro.baselines.zdomain import closed_loop_z, sampled_open_loop
-    from repro.pll.design import shape_phase_margin_deg
-    from repro.pll.margins import compare_margins_batch
-
-    results: list[dict[str, float] | Exception] = [None] * len(batch)  # type: ignore[list-item]
-    groups = _grouped(
-        batch,
-        lambda p: (
-            float(p.get("omega0", 2 * math.pi)),
-            int(p.get("points", 2000)),
-            p.get("backend"),
-        ),
-    )
-    for indices in groups.values():
-        points = int(batch[indices[0]].get("points", 2000))
-        plls = []
-        partial: list[dict[str, float]] = []
-        live: list[int] = []
-        for i in indices:
-            try:
-                with _task_backend(batch[i]):
-                    pll = design_from_params(batch[i])
-                    closed = closed_loop_z(sampled_open_loop(pll))
-                    poles = closed.poles()
-                    radius = float(np.max(np.abs(poles))) if poles.size else 0.0
-                    partial.append(
-                        {
-                            "z_stable": 1.0 if closed.is_stable() else 0.0,
-                            "z_pole_radius": radius,
-                            "lti_phase_margin_deg": shape_phase_margin_deg(
-                                float(batch[i].get("separation", 4.0))
-                            ),
-                        }
-                    )
-                    plls.append(pll)
-                live.append(i)
-            except Exception as exc:
-                results[i] = exc
-        if not plls:
-            continue
-        with _task_backend(batch[live[0]]):
-            outcomes = compare_margins_batch(plls, points=points)
-        for row, i in enumerate(live):
-            out = dict(partial[row])
-            outcome = outcomes[row]
-            # _nan_safe semantics: a failed margin scan is a nan metric,
-            # never a failed point.
-            out["phase_margin_eff_deg"] = (
-                float("nan")
-                if isinstance(outcome, Exception)
-                else outcome.phase_margin_eff_deg
-            )
-            results[i] = out
-    return results
+    """`stability_cell` point by point: one ``G_z`` per design gives its z-poles
+    and effective margin, and nothing is left to share across designs."""
+    return _each(stability_cell_task, batch)

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro._errors import ConvergenceError, ValidationError
+from repro.obs import spans as obs
 
 ResponseLike = Callable[[np.ndarray], np.ndarray]
 
@@ -154,6 +155,96 @@ def gain_crossover(
     grid = _log_grid(omega_min, omega_max, points)
     mags = np.abs(response(grid))
     return crossover_from_samples(response, grid, mags, omega_min, omega_max, which)
+
+
+#: Relative offset of the two probes that confirm a crossing changes sign.
+_SIGN_PROBE = 1e-7
+
+#: Largest gap between the root-angle phase estimate and the evaluated phase
+#: (radians) that still picks the branch safely; a full turn is 2 pi.
+_BRANCH_TOL = 0.1
+
+
+def _polish_crossing(log_gain, omega: float) -> float | None:
+    """Newton steps on ``log|H|`` from a root estimate; ``None`` if they diverge."""
+    for _ in range(8):
+        value, slope = log_gain(omega)
+        step = value / slope if slope else math.nan
+        omega -= step
+        if not (math.isfinite(omega) and omega > 0):
+            return None
+        if abs(step) <= 1e-14 * omega:
+            return omega
+    return None
+
+
+def _exact_crossover(system, omega_min: float, omega_max: float) -> float | None:
+    """Largest unity crossing of ``system`` on the window, from its roots."""
+
+    def sign(omega: float) -> float:
+        return float(np.sign(system.log_gain(omega)[0]))
+
+    top = sign(omega_max)
+    candidates = system.unity_gain_frequencies()
+    # A root estimate just outside the window may polish to a crossing inside it.
+    window = (candidates >= omega_min * (1 - 1e-6)) & (candidates <= omega_max * (1 + 1e-6))
+    for guess in candidates[window][::-1]:
+        omega = _polish_crossing(system.log_gain, float(guess))
+        if omega is None or not omega_min <= omega <= omega_max:
+            continue
+        above = sign(omega * (1 + _SIGN_PROBE))
+        if above == sign(omega * (1 - _SIGN_PROBE)):
+            continue  # touches unity without crossing, as a scan sees it
+        # A sign change above this root that no root explains: ask the scan.
+        return omega if above == top else None
+    if sign(omega_min) != top:
+        return None
+    low, high = (math.exp(system.log_gain(w)[0]) for w in (omega_min, omega_max))
+    raise ConvergenceError(
+        f"|H| never crosses unity on [{omega_min}, {omega_max}] "
+        f"(|H| is {low:.3g} at the low end, {high:.3g} at the high end)"
+    )
+
+
+def exact_margins(system, omega_min: float, omega_max: float) -> tuple[float, float] | None:
+    """Gain crossover and phase margin from roots, without a frequency grid.
+
+    ``system`` gives the root form of its response: ``unity_gain_frequencies()``,
+    ``log_gain(omega)``, ``phase_change(omega_a, omega_b)`` and
+    ``eval_jomega``.  :class:`~repro.lti.rational.RationalFunction` gives it on
+    ``s = j omega``, :class:`~repro.baselines.zdomain.ZTransferFunction` on
+    ``z = e^{j omega T}``.  The result reproduces the scan of
+    :func:`gain_crossover` (``which='last'``) and :func:`phase_margin`:
+
+    * the crossover is the largest unity-gain root on the window, polished by
+      Newton steps on ``log|H|`` and confirmed to change sign;
+    * the phase is unwrapped from the principal value at ``omega_min``, as
+      the scan's ``np.unwrap`` starts: the zero and pole angles swept up to
+      the crossover pick the branch of the phase evaluated there.
+
+    Returns ``None`` when the roots cannot settle the answer (a sign change
+    no root explains, a root on the path, a branch estimate off by more than
+    ``_BRANCH_TOL``), so the caller takes the scan.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``|H|`` does not cross unity on the window, as the scan would.
+    """
+    with obs.span("lti.bode.exact_margins"):
+        w_ug = _exact_crossover(system, omega_min, omega_max)
+        if w_ug is None:
+            return None
+        change = system.phase_change(omega_min, w_ug)
+        if change is None:
+            return None
+        start, end = system.eval_jomega(np.array([omega_min, w_ug]))
+        estimate = math.atan2(start.imag, start.real) + change
+        phase = math.atan2(end.imag, end.real)
+        phase += 2 * math.pi * round((estimate - phase) / (2 * math.pi))
+        if abs(estimate - phase) > _BRANCH_TOL:
+            return None
+        return w_ug, 180.0 + math.degrees(phase)
 
 
 def phase_at(system, omega: float) -> float:

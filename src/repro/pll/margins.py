@@ -12,6 +12,23 @@ by (eq. 38), so margins must be measured on ``lambda``:
 
 :func:`compare_margins` measures both on one loop; :func:`margin_sweep`
 produces the Fig. 7 series over a range of ``w_UG / w0``.
+
+Two paths compute the same numbers, and the loop picks one:
+
+* **Roots** (no grid): when ``lambda(s) = G_z(e^{sT})`` holds (impulse
+  sampling, time-invariant VCO, no delay, zero sampling offset, relative
+  degree >= 2, which covers every :func:`~repro.pll.design.design_typical_loop`
+  loop), each crossover is a root of a polynomial: of
+  ``|N(j omega)|^2 - |D(j omega)|^2`` for ``A``, and the unit-circle root of
+  the self-reciprocal ``N(z) z^n conj(N)(1/z) - D(z) z^n conj(D)(1/z)`` for
+  ``lambda``; the unwrapped phase comes from the zero and pole angles
+  (:func:`~repro.lti.bode.exact_margins`).
+* **Scan**: every other loop (sample-and-hold PFD, delay, sampling offset,
+  LPTV VCO, relative degree 1, ``method='truncated'``) samples ``points``
+  frequencies and refines the last crossing with Brent's method
+  (:func:`~repro.lti.bode.gain_crossover`, :func:`~repro.lti.bode.phase_margin`).
+  The scan is also the roots path's test oracle, and its fallback when the
+  roots cannot settle the answer.
 """
 
 from __future__ import annotations
@@ -23,14 +40,11 @@ import numpy as np
 
 from repro._errors import ValidationError
 from repro.core.grid import FrequencyGrid
-from repro.lti.bode import (
-    _log_grid,
-    crossover_from_samples,
-    gain_crossover,
-    phase_margin,
-)
+from repro.lti.bode import crossover_from_samples  # noqa: F401 - perfbench/tracing.py wraps it here
+from repro.lti.bode import exact_margins, gain_crossover, phase_margin
 from repro.pll.architecture import PLL
 from repro.pll.closedloop import ClosedLoopHTM
+from repro.pll.openloop import lti_open_loop, open_loop_callable
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,77 @@ def effective_open_loop(pll: PLL, **closed_loop_kwargs) -> Callable[[np.ndarray]
     return closed.effective_gain_response
 
 
+def _window(
+    omega0: float,
+    omega_min_factor: float,
+    omega_max_factor: float | None,
+    grid: FrequencyGrid | None = None,
+) -> tuple[float, float]:
+    """The margin window ``[w_lo, w_hi]``: the grid's bounds, else the factors."""
+    if grid is not None:
+        w_lo = float(grid.omega[0])
+        w_hi = float(grid.omega[-1])
+        if not 0 < w_lo < w_hi:
+            raise ValidationError("margin scan grid must be positive and increasing")
+        return w_lo, w_hi
+    if omega_max_factor is None:
+        omega_max_factor = 0.499
+    if not 0 < omega_min_factor < omega_max_factor:
+        raise ValidationError("need 0 < omega_min_factor < omega_max_factor")
+    return omega_min_factor * omega0, omega_max_factor * omega0
+
+
+def _sampled_form(pll: PLL, closed_loop_kwargs: dict, sampled=None):
+    """``G_z`` when ``lambda(s) = G_z(e^{sT})`` holds, else ``None`` (the scan).
+
+    The identity takes an impulse-sampling PFD, a time-invariant VCO, no
+    delay, zero sampling offset and a loop gain of relative degree >= 2
+    (else ``g(0+)`` adds a half-sample term).  An explicit
+    ``method='truncated'`` keeps the scan.  ``G_z`` is ``sampled`` when the
+    caller built it already.
+    """
+    from repro.blocks.pfd import SampleHoldPFD
+
+    if not (
+        closed_loop_kwargs.get("method", "closed") == "closed"
+        and not pll.has_delay
+        and pll.pfd.sampling_offset == 0.0
+        and not isinstance(pll.pfd, SampleHoldPFD)
+        and pll.vco.is_time_invariant()
+        and pll.vco.lti_transfer().rational.relative_degree
+        + pll.h_lf.rational.relative_degree
+        >= 2
+    ):
+        return None
+    if sampled is None:
+        from repro.baselines.zdomain import sampled_open_loop
+
+        sampled = sampled_open_loop(pll)
+    return sampled
+
+
+def _margin_pair(system, scan_response, w_lo: float, w_hi: float, points: int):
+    """``(w_ug, pm)`` from the roots of ``system`` when it is given and they
+    settle the answer, else by scanning ``scan_response()``."""
+    pair = None if system is None else exact_margins(system, w_lo, w_hi)
+    if pair is not None:
+        return pair
+    response = scan_response()
+    w_ug = gain_crossover(response, w_lo, w_hi, points)
+    return w_ug, phase_margin(response, w_lo, w_hi, points, w_ug=w_ug)
+
+
+def _open_loop_response(pll: PLL) -> Callable[[np.ndarray], np.ndarray]:
+    """``A(j omega)`` from the exact callable, which covers irrational loop
+    elements (ZOH hold, delay) that the rational ``A(s)`` cannot represent."""
+    a_fn = open_loop_callable(pll)
+
+    def response(omega):
+        return np.asarray(a_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
+
+    return response
+
+
 def compare_margins(
     pll: PLL,
     omega_min_factor: float = 1e-3,
@@ -101,50 +186,67 @@ def compare_margins(
 ) -> EffectiveMargins:
     """Measure LTI and effective margins of one loop design.
 
-    The scan range is expressed relative to the reference frequency: from
+    The window is expressed relative to the reference frequency: from
     ``omega_min_factor * w0`` up to ``omega_max_factor * w0`` (default just
     below the ``w0/2`` alias symmetry point, beyond which lambda repeats).
-    Passing a :class:`~repro.core.grid.FrequencyGrid` instead pins the scan
-    to that grid's bounds and point count, overriding the factor arguments.
-    ``backend`` selects the compute backend for any structured grid
-    evaluation underneath (forwarded to :class:`ClosedLoopHTM`).
+    Passing a :class:`~repro.core.grid.FrequencyGrid` instead pins the window
+    to that grid's bounds (and a scan to its point count), overriding the
+    factor arguments.  ``backend`` selects the compute backend for any
+    structured grid evaluation underneath (forwarded to
+    :class:`ClosedLoopHTM`).
+
+    Loops with ``lambda(s) = G_z(e^{sT})`` take both margins from polynomial
+    roots; the others scan ``points`` samples (see the module docstring).
     """
     if backend is not None:
         closed_loop_kwargs.setdefault("backend", backend)
-    omega0 = pll.omega0
+    w_lo, w_hi = _window(pll.omega0, omega_min_factor, omega_max_factor, grid)
     if grid is not None:
-        w_lo = float(grid.omega[0])
-        w_hi = float(grid.omega[-1])
         points = len(grid)
-        if not 0 < w_lo < w_hi:
-            raise ValidationError("margin scan grid must be positive and increasing")
-    else:
-        if omega_max_factor is None:
-            omega_max_factor = 0.499
-        if not 0 < omega_min_factor < omega_max_factor:
-            raise ValidationError("need 0 < omega_min_factor < omega_max_factor")
-        w_lo = omega_min_factor * omega0
-        w_hi = omega_max_factor * omega0
-    # The exact callable covers irrational loop elements (ZOH hold, delay)
-    # that the rational A(s) cannot represent.
-    from repro.pll.openloop import open_loop_callable
-
-    a_fn = open_loop_callable(pll)
-
-    def a(omega):
-        return np.asarray(a_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
-
-    lam = effective_open_loop(pll, **closed_loop_kwargs)
-    # A(s) rolls off monotonically, so a wide scan is safe for the LTI pair.
-    w_ug_lti = gain_crossover(a, w_lo, w_hi, points)
-    pm_lti = phase_margin(a, w_lo, w_hi, points)
-    w_ug_eff = gain_crossover(lam, w_lo, w_hi, points)
-    pm_eff = phase_margin(lam, w_lo, w_hi, points)
+    sampled = _sampled_form(pll, closed_loop_kwargs)
+    w_ug_lti, pm_lti = _margin_pair(
+        None if sampled is None else lti_open_loop(pll).rational,
+        lambda: _open_loop_response(pll),
+        w_lo,
+        w_hi,
+        points,
+    )
+    w_ug_eff, pm_eff = _margin_pair(
+        sampled,
+        lambda: effective_open_loop(pll, **closed_loop_kwargs),
+        w_lo,
+        w_hi,
+        points,
+    )
     return EffectiveMargins(
         omega_ug_lti=w_ug_lti,
         phase_margin_lti_deg=pm_lti,
         omega_ug_eff=w_ug_eff,
         phase_margin_eff_deg=pm_eff,
+    )
+
+
+def effective_margin(
+    pll: PLL,
+    omega_min_factor: float = 1e-3,
+    omega_max_factor: float | None = None,
+    points: int = 4000,
+    sampled=None,
+    **closed_loop_kwargs,
+) -> tuple[float, float]:
+    """``(omega_ug_eff, phase_margin_eff_deg)``: the effective half of :func:`compare_margins`.
+
+    ``sampled`` passes the loop's ``G_z`` when the caller has built it
+    already (:func:`~repro.baselines.zdomain.sampled_open_loop`), so it is
+    built once; it is used only for a loop whose ``lambda`` it equals.
+    """
+    w_lo, w_hi = _window(pll.omega0, omega_min_factor, omega_max_factor)
+    return _margin_pair(
+        _sampled_form(pll, closed_loop_kwargs, sampled),
+        lambda: effective_open_loop(pll, **closed_loop_kwargs),
+        w_lo,
+        w_hi,
+        points,
     )
 
 
@@ -156,79 +258,28 @@ def compare_margins_batch(
     backend: str | None = None,
     **closed_loop_kwargs,
 ) -> list[EffectiveMargins | Exception]:
-    """Batched :func:`compare_margins` over a stacked design axis.
-
-    Evaluates every design's ``A(j omega)`` and ``lambda(j omega)`` exactly
-    once on the shared scan grid, stacks the samples into a ``(K, N)``
-    array, and runs the magnitude scan across the whole stack in one
-    vectorized pass; the crossover bracket/refinement and the phase grid
-    stay per-design.  Because elementwise ufuncs and the shared
-    :func:`~repro.lti.bode.crossover_from_samples` core operate row-by-row
-    on identical samples, each result is **bitwise identical** to the
-    scalar :func:`compare_margins` call for the same design — the scalar
-    path stays the correctness oracle.  The win is eliminating the
-    duplicate response evaluations the scalar path performs (each of
-    ``gain_crossover`` and ``phase_margin`` re-scans the full grid).
+    """:func:`compare_margins` over many designs, one slot per design.
 
     One failing design never poisons the batch: its slot carries the
-    exception (``ConvergenceError``, ``ValidationError``, ...) that the
-    scalar call would have raised, and the other slots complete.
+    exception (``ConvergenceError``, ``ValidationError``, ...) that
+    :func:`compare_margins` raised for it, and the other slots complete.
+    Each result is the scalar call's, bit for bit.
     """
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
-    results: list[EffectiveMargins | Exception] = [None] * len(plls)  # type: ignore[list-item]
-    if omega_max_factor is None:
-        omega_max_factor = 0.499
-    if not 0 < omega_min_factor < omega_max_factor:
-        raise ValidationError("need 0 < omega_min_factor < omega_max_factor")
-
-    from repro.pll.openloop import open_loop_callable
-
-    # Group designs sharing a scan window so their samples can stack.
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, pll in enumerate(plls):
-        w_lo = omega_min_factor * pll.omega0
-        w_hi = omega_max_factor * pll.omega0
-        groups.setdefault((w_lo, w_hi), []).append(i)
-
-    for (w_lo, w_hi), indices in groups.items():
-        grid = _log_grid(w_lo, w_hi, points)
-        samples_a: list[np.ndarray] = []
-        samples_lam: list[np.ndarray] = []
-        live: list[tuple[int, Callable, Callable]] = []
-        for i in indices:
-            try:
-                a_fn = open_loop_callable(plls[i])
-
-                def a(omega, _fn=a_fn):
-                    return np.asarray(_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
-
-                lam = effective_open_loop(plls[i], **closed_loop_kwargs)
-                samples_a.append(np.asarray(a(grid), dtype=complex))
-                samples_lam.append(np.asarray(lam(grid), dtype=complex))
-                live.append((i, a, lam))
-            except Exception as exc:  # captured per-slot, scalar-equivalent
-                results[i] = exc
-        if not live:
-            continue
-        # One vectorized magnitude pass across the stacked design axis.
-        mags_a = np.abs(np.stack(samples_a))
-        mags_lam = np.abs(np.stack(samples_lam))
-        for row, (i, a, lam) in enumerate(live):
-            try:
-                w_ug_lti = crossover_from_samples(a, grid, mags_a[row], w_lo, w_hi)
-                pm_lti = phase_margin(a, w_lo, w_hi, points, w_ug=w_ug_lti)
-                w_ug_eff = crossover_from_samples(lam, grid, mags_lam[row], w_lo, w_hi)
-                pm_eff = phase_margin(lam, w_lo, w_hi, points, w_ug=w_ug_eff)
-            except Exception as exc:
-                results[i] = exc
-                continue
-            results[i] = EffectiveMargins(
-                omega_ug_lti=w_ug_lti,
-                phase_margin_lti_deg=pm_lti,
-                omega_ug_eff=w_ug_eff,
-                phase_margin_eff_deg=pm_eff,
+    results: list[EffectiveMargins | Exception] = []
+    for pll in plls:
+        try:
+            results.append(
+                compare_margins(
+                    pll,
+                    omega_min_factor,
+                    omega_max_factor,
+                    points,
+                    backend=backend,
+                    **closed_loop_kwargs,
+                )
             )
+        except Exception as exc:  # captured per slot
+            results.append(exc)
     return results
 
 

@@ -39,6 +39,7 @@ from repro.core.grid import FrequencyGrid
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_GRID_POINTS",
     "ServeError",
     "design_fingerprint",
     "design_params",
@@ -51,6 +52,10 @@ __all__ = [
 #: Request-body cap: analysis requests are parameter dicts, never bulk
 #: uploads, so anything past 1 MiB is a client bug (or abuse) -> 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: Frequency-point cap for a request grid and for ``design.points``: the
+#: evaluation's memory grows linearly with it -> 413 beyond.
+MAX_GRID_POINTS = 20_000
 
 
 class ServeError(ValidationError):
@@ -111,6 +116,7 @@ def design_params(body: Mapping[str, Any]) -> dict[str, Any]:
     parameters the campaign task adapters take (``ratio``/``omega_ug``,
     ``separation``, ``omega0``, ``points``, ...).  Canonicalization (key
     sort + scalar coercion) is what makes the fingerprint stable.
+    ``points`` above :data:`MAX_GRID_POINTS` is a 413, as for a grid.
     """
     design = body.get("design")
     if not isinstance(design, Mapping) or not design:
@@ -120,9 +126,20 @@ def design_params(body: Mapping[str, Any]) -> dict[str, Any]:
             "request needs a non-empty 'design' object of scalar parameters",
         )
     try:
-        return canonical_params(design)
+        params = canonical_params(design)
     except ValidationError as exc:
         raise ServeError(400, "invalid_design", str(exc)) from None
+    try:
+        too_large = float(params.get("points", 0)) > MAX_GRID_POINTS
+    except ValueError:  # not a number: the task adapter rejects it
+        too_large = False
+    if too_large:
+        raise ServeError(
+            413,
+            "grid_too_large",
+            f"design.points is {params['points']}; the limit is {MAX_GRID_POINTS}",
+        )
+    return params
 
 
 def design_fingerprint(params: Mapping[str, Any]) -> str:
@@ -131,7 +148,7 @@ def design_fingerprint(params: Mapping[str, Any]) -> str:
 
 
 def grid_from_request(
-    body: Mapping[str, Any], omega0: float, max_points: int = 20_000
+    body: Mapping[str, Any], omega0: float, max_points: int = MAX_GRID_POINTS
 ) -> FrequencyGrid:
     """Build the request's frequency grid.
 

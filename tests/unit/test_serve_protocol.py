@@ -71,6 +71,15 @@ class TestDesignParams:
         err = _err(design_params, {"design": {"ratio": [0.1, 0.2]}})
         assert err.status == 400 and err.code == "invalid_design"
 
+    def test_oversized_design_points_is_413(self):
+        # design.points sizes the margins scan and the noise grid, so it
+        # has the explicit grid's cap.
+        for points in (400_000, 20_001, "400000"):
+            err = _err(design_params, {"design": {"ratio": 0.1, "points": points}})
+            assert err.status == 413 and err.code == "grid_too_large"
+        params = design_params({"design": {"ratio": 0.1, "points": 20_000}})
+        assert params["points"] == 20_000
+
 
 class TestGridFromRequest:
     def test_default_is_baseband_of_omega0(self):

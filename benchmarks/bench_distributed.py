@@ -7,8 +7,9 @@ sleep-bound task, so the ratio isolates what the bench is about: the
 *coordination cost* of the lease protocol — claims, renewals, done
 markers, merged-record refreshes — not process startup or GIL contention.
 N workers over ideally parallel work should approach Nx; the gate catches
-the protocol getting chattier.  (Batch adapters' bitwise identity with
-the scalar adapters is tested by ``tests/unit/test_vectorized.py``.)
+the protocol getting chattier.  (Bitwise identity of ``--workers 2``
+records with the serial path is tested by
+``tests/property/test_prop_schedulers.py``.)
 
 ``main()`` prints a human summary plus one machine-readable JSON line
 (``kind: "bench_distributed"``) for harness scraping.  Run with

@@ -9,6 +9,7 @@ converted) value so they can be used inline::
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -93,3 +94,19 @@ def check_odd_dimension(name: str, value: int) -> int:
     if value % 2 == 0:
         raise ValidationError(f"{name} must be odd (HTMs span harmonics -K..K), got {value}")
     return value
+
+
+def ignore_backend(backend) -> None:
+    """Warn once about a ``backend=`` argument, which is accepted and ignored.
+
+    Structured evaluation has one (NumPy) implementation.  The public
+    functions that used to take a compute-backend choice keep the keyword
+    for one release and route it here.
+    """
+    if backend is not None:
+        warnings.warn(
+            "the backend argument is deprecated and ignored: structured "
+            "evaluation always runs on NumPy",
+            DeprecationWarning,
+            stacklevel=3,
+        )

@@ -36,7 +36,6 @@ Package layout: :mod:`~repro.campaign.spec` (parameter spaces, point
 ids), :mod:`~repro.campaign.tasks` (adapter registry),
 :mod:`~repro.campaign.executor` (point execution, retries, serial and
 local lease runs), :mod:`~repro.campaign.lease` (lease protocol),
-:mod:`~repro.campaign.vectorized` (stacked batch adapters),
 :mod:`~repro.campaign.store` (JSONL persistence + shard merge),
 :mod:`~repro.campaign.telemetry` (counters and cache visibility).
 """
@@ -48,7 +47,6 @@ from repro.campaign.executor import (
     campaign_status,
     resume_campaign,
     run_campaign,
-    run_point_batch,
 )
 from repro.campaign.lease import WorkerReport, run_worker
 from repro.campaign.spec import (
@@ -98,7 +96,6 @@ __all__ = [
     "render_watch",
     "resume_campaign",
     "run_campaign",
-    "run_point_batch",
     "run_worker",
     "watch_campaign",
 ]

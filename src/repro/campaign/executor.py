@@ -65,7 +65,6 @@ __all__ = [
     "campaign_status",
     "resume_campaign",
     "run_campaign",
-    "run_point_batch",
 ]
 
 #: Idle poll of the local lease workers: they leave as soon as the last
@@ -117,10 +116,6 @@ class ExecutionPolicy:
     memory_budget_mb:
         Per-point peak-RSS budget; points above it are flagged
         ``over_budget`` with a ``campaign.memory_budget`` health event.
-    vectorize:
-        Evaluate point batches through the task's registered vectorized
-        batch adapter when one exists (stacked-axis evaluation, bitwise
-        identical to the scalar path); ``False`` forces the scalar path.
     lease_ttl:
         Lease time-to-live in seconds.  A worker renews its batch lease
         every ``lease_ttl / 3``; a lease older than this is considered
@@ -146,7 +141,6 @@ class ExecutionPolicy:
     straggler_factor: float = 4.0
     stream_interval: float = 1.0
     memory_budget_mb: float | None = None
-    vectorize: bool = True
     lease_ttl: float = 30.0
     profile: bool = False
 
@@ -352,146 +346,6 @@ def _run_point(
     return record
 
 
-def _slot_error(exc: BaseException) -> dict[str, Any]:
-    """Error payload for an exception captured (not raised) by a batch adapter."""
-    tb = traceback.format_exception(type(exc), exc, exc.__traceback__, limit=20)
-    return {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": "".join(tb),
-    }
-
-
-def run_point_batch(
-    payloads: list[tuple], vectorize: bool = True
-) -> list[dict[str, Any]]:
-    """Evaluate a batch of points, vectorized when the task supports it.
-
-    ``payloads`` are ``(task, point_id, params, timeout, attempt)`` tuples
-    (the :func:`_run_point` signature).  When ``vectorize`` is on and the
-    task has a registered batch adapter, the whole batch runs through one
-    stacked evaluation under a combined alarm budget of ``timeout * K``;
-    per-point records are still emitted (status, metrics/error, attempts)
-    with the batch's elapsed time divided evenly and the cache/obs/memory
-    deltas attributed to the first record (they are batch-level
-    quantities).  Records gain ``vectorized: true`` and ``batch_points``
-    so the provenance of every number is visible in the store.
-
-    Any failure of the batch *machinery* — the adapter raising, a timeout,
-    a malformed result — falls back to the scalar per-point path
-    (``campaign.vectorize_fallback`` counter), so a vectorization bug can
-    cost time but never correctness.  A single point's captured exception
-    is terminal for that slot only, exactly as the scalar adapter's raise
-    would have been.
-    """
-    from repro.campaign.tasks import get_batch_task
-
-    if len(payloads) < 2 or not vectorize:
-        return [_run_point(*payload) for payload in payloads]
-    task = payloads[0][0]
-    name = task if isinstance(task, str) else registered_name(task)
-    batch_fn = get_batch_task(name)
-    if batch_fn is None:
-        return [_run_point(*payload) for payload in payloads]
-
-    from repro.core import memo
-
-    timeout = payloads[0][3]
-    budget = None if timeout is None else float(timeout) * len(payloads)
-    before = memo.cache_snapshot()
-    obs_before = obs.snapshot() if obs.enabled() else None
-    mem_state = obs_resources.point_probe_begin()
-    obs_heartbeat.point_started(payloads[0][1])
-    started = time.perf_counter()
-    guard = _alarm_guard(budget)
-    outcomes: list[Any] | None = None
-    with obs.span(
-        "campaign.point_batch", task=_task_label(task), points=len(payloads)
-    ):
-        try:
-            with guard:
-                outcomes = list(batch_fn([dict(p[2]) for p in payloads]))
-            if len(outcomes) != len(payloads):
-                raise ValidationError(
-                    f"batch adapter returned {len(outcomes)} result(s) "
-                    f"for {len(payloads)} point(s)"
-                )
-        except (Exception, PointTimeout):
-            outcomes = None
-    elapsed = time.perf_counter() - started
-    if outcomes is None:
-        # Batch machinery failed: scalar fallback for every point (each
-        # _run_point re-arms its own per-point timeout and heartbeat).
-        obs.add("campaign.vectorize_fallback")
-        return [_run_point(*payload) for payload in payloads]
-
-    mem = obs_resources.point_probe_end(mem_state)
-    after = memo.cache_snapshot()
-    cache_delta = {
-        "hits": after["hits"] - before["hits"],
-        "misses": after["misses"] - before["misses"],
-        "bytes": int(after.get("bytes", 0)),
-    }
-    obs_delta = obs.delta(obs_before) if obs_before is not None else None
-    per_point = elapsed / len(payloads)
-    records: list[dict[str, Any]] = []
-    for slot, (payload, outcome) in enumerate(zip(payloads, outcomes)):
-        _task, pid, params, _timeout, attempt = payload
-        record: dict[str, Any] = {
-            "kind": "point",
-            "id": pid,
-            "params": dict(params),
-            "attempts": attempt,
-            "worker": os.getpid(),
-            "elapsed": per_point,
-            "vectorized": True,
-            "batch_points": len(payloads),
-        }
-        if isinstance(outcome, BaseException):
-            record["status"] = "failed"
-            record["error"] = _slot_error(outcome)
-        elif isinstance(outcome, Mapping):
-            record["status"] = "ok"
-            record["metrics"] = {str(k): float(v) for k, v in outcome.items()}
-        else:
-            record["status"] = "failed"
-            record["error"] = _slot_error(
-                ValidationError(
-                    "task must return a metric mapping, got "
-                    f"{type(outcome).__name__}"
-                )
-            )
-        if slot == 0:
-            record["mem"] = mem
-            record["cache"] = cache_delta
-            if obs_delta is not None:
-                record["obs"] = obs_delta
-        else:
-            record["mem"] = {}
-            record["cache"] = {
-                "hits": 0,
-                "misses": 0,
-                "bytes": cache_delta["bytes"],
-            }
-        records.append(record)
-        obs_heartbeat.point_finished()
-    campaign_ctx = obs_trace.campaign_context()
-    if campaign_ctx is not None:
-        wall_end = time.time()
-        batch_ctx = campaign_ctx.child()
-        obs_trace.record_event(
-            "campaign.point_batch",
-            batch_ctx,
-            wall_end - elapsed,
-            wall_end,
-            points=len(payloads),
-            task=_task_label(task),
-        )
-        for record in records:
-            record["trace"] = batch_ctx.child().to_dict()
-    return records
-
-
 def _auto_batch_size(pending: int, workers: int) -> int:
     """Default points per lease batch: amortize leases without starving workers.
 
@@ -629,9 +483,14 @@ class _Coordinator:
         if self.policy.backoff > 0:
             time.sleep(self.policy.backoff * attempt)
 
-    # -- serial path -------------------------------------------------------------
+    # -- the per-point loop ---------------------------------------------------------
 
     def run_serial(self, queue: "deque[tuple[int, str, dict, int]]") -> None:
+        """Run queued points one by one to terminal records.
+
+        The serial path runs its whole pending queue here; a lease worker
+        runs each claimed batch's entries.
+        """
         while queue:
             index, pid, params, attempt = queue.popleft()
             record = _run_point(
@@ -643,39 +502,6 @@ class _Coordinator:
                 continue
             self._finalize(record)
         self._checkpoint()
-
-    # -- batched serial path (lease workers) -------------------------------------
-
-    def run_batch(self, queue: "deque[tuple[int, str, dict, int]]") -> None:
-        """Evaluate one claimed batch in-process, vectorized when possible.
-
-        A lease worker's per-batch execution: the whole queue goes through
-        :func:`run_point_batch` (one stacked evaluation when the task has a
-        batch adapter), and any point needing a retry is re-run through the
-        scalar serial path — the serial path's retry, backoff and timeout
-        semantics.
-        """
-        entries = list(queue)
-        queue.clear()
-        if not entries:
-            return
-        payloads = [
-            (self.task, pid, params, self.policy.timeout, attempt)
-            for _index, pid, params, attempt in entries
-        ]
-        records = run_point_batch(payloads, vectorize=self.policy.vectorize)
-        retry: deque = deque()
-        for entry, record in zip(entries, records):
-            index, pid, params, attempt = entry
-            if self._should_retry(record, attempt):
-                self._backoff(attempt)
-                retry.append((index, pid, params, attempt + 1))
-            else:
-                self._finalize(record)
-        if retry:
-            self.run_serial(retry)
-        else:
-            self._checkpoint()
 
 
 def _stream_sample(telemetry: CampaignTelemetry):

@@ -590,12 +590,12 @@ def run_worker(
 
     The worker loops: refresh the merged completed-point set, claim (or
     reclaim) the first available batch, evaluate its pending points
-    in-process (vectorized when the task has a batch adapter, scalar
-    retries/timeouts as everywhere else), write records to its private
-    shard, mark the batch done, release the lease.  When no batch is
-    claimable it idles on ``poll_interval`` until the campaign completes,
-    another worker's lease expires, or ``max_idle`` seconds pass without
-    any claim (elastic scale-down).
+    in-process one by one (with the serial path's retries and per-point
+    timeouts), write records to its private shard, mark the batch done,
+    release the lease.  When no batch is claimable it idles on
+    ``poll_interval`` until the campaign completes, another worker's lease
+    expires, or ``max_idle`` seconds pass without any claim (elastic
+    scale-down).
 
     On campaign completion the workers race a finalize election; the
     single winner appends the summary line to the main store.
@@ -771,7 +771,7 @@ def run_worker(
                     if pid not in completed
                 )
                 pending = len(entries)
-                coordinator.run_batch(entries)
+                coordinator.run_serial(entries)
                 obs_profile.maybe_flush()
             finally:
                 renewer.drop()

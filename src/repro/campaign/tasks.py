@@ -20,16 +20,12 @@ Adapters record NaN for a metric that fails on an individual design (no
 unity crossing, say) — matching :func:`repro.pll.sweeps.sweep` — while a
 failure of the *design itself* raises, which the executor captures as a
 failed point with bounded retries.
-
-A ``backend`` point parameter (merged from spec defaults + point, like any
-other) installs a scoped compute-backend default around the whole point
-evaluation — every structured grid evaluation inside the adapter picks it
-up, and the chosen backend is recorded in the campaign run manifest.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -38,7 +34,6 @@ from repro._errors import ValidationError
 from repro.pll.architecture import PLL
 
 __all__ = [
-    "BatchTaskAdapter",
     "TaskAdapter",
     "available_tasks",
     "design_from_params",
@@ -51,16 +46,7 @@ __all__ = [
 
 TaskAdapter = Callable[[dict[str, Any]], dict[str, float]]
 
-#: A batch adapter evaluates many points in one call.  It receives the list
-#: of merged parameter dicts and returns one entry per point *in order*:
-#: either the metric mapping or the exception the scalar adapter would have
-#: raised for that point.  It must never raise for a single point's failure
-#: — a raised exception means the whole batch is unusable and the executor
-#: falls back to the scalar path for every point in it.
-BatchTaskAdapter = Callable[[list[dict[str, Any]]], "list[dict[str, float] | Exception]"]
-
 _REGISTRY: dict[str, TaskAdapter] = {}
-_BATCH_REGISTRY: dict[str, BatchTaskAdapter] = {}
 
 
 def register_task(name: str) -> Callable[[TaskAdapter], TaskAdapter]:
@@ -75,32 +61,23 @@ def register_task(name: str) -> Callable[[TaskAdapter], TaskAdapter]:
     return deco
 
 
-def register_batch_task(name: str) -> Callable[[BatchTaskAdapter], BatchTaskAdapter]:
-    """Decorator: register a vectorized batch adapter for task ``name``.
+def register_batch_task(name: str) -> Callable[[Callable], Callable]:
+    """Deprecated no-op decorator: every campaign point runs its scalar adapter.
 
-    The scalar adapter of the same name stays the correctness oracle: the
-    batch adapter must be bitwise-identical to calling it per point, and
-    the executor verifies nothing — tests do (``tests/unit/test_vectorized``).
+    Warns and registers nothing; the decorated function is returned as is.
     """
+    warnings.warn(
+        "register_batch_task is deprecated and registers nothing: every "
+        "campaign point runs its scalar task adapter",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return lambda fn: fn
 
-    def deco(fn: BatchTaskAdapter) -> BatchTaskAdapter:
-        if name in _BATCH_REGISTRY:
-            raise ValidationError(f"batch task {name!r} is already registered")
-        _BATCH_REGISTRY[name] = fn
-        return fn
 
-    return deco
-
-
-def get_batch_task(name: str | None) -> BatchTaskAdapter | None:
-    """The vectorized batch adapter for a task name, or ``None``."""
-    if name is None:
-        return None
-    # Importing the module registers the built-in batch adapters lazily so
-    # scalar-only users never pay for it.
-    from repro.campaign import vectorized  # noqa: F401
-
-    return _BATCH_REGISTRY.get(name)
+def get_batch_task(name: str | None) -> None:
+    """Deprecated: always ``None``, as there are no batch adapters."""
+    return None
 
 
 def get_task(name: str) -> TaskAdapter:
@@ -157,18 +134,6 @@ def design_from_params(params: Mapping[str, Any]) -> PLL:
     )
 
 
-def _task_backend(params: Mapping[str, Any]):
-    """Scoped compute-backend default from an optional ``backend`` parameter.
-
-    ``backend_scope(None)`` is a passthrough, so adapters can wrap their
-    whole body unconditionally.
-    """
-    from repro.core.backend import backend_scope
-
-    value = params.get("backend")
-    return backend_scope(None if value is None else str(value))
-
-
 def _nan_safe(metrics: Mapping[str, Callable[[PLL], float]], pll: PLL) -> dict[str, float]:
     out: dict[str, float] = {}
     for name, fn in metrics.items():
@@ -187,8 +152,7 @@ def standard_metrics_task(params: dict[str, Any]) -> dict[str, float]:
     """The `repro.pll.sweeps.standard_metrics` set on one designed loop."""
     from repro.pll.sweeps import standard_metrics
 
-    with _task_backend(params):
-        return _nan_safe(standard_metrics(), design_from_params(params))
+    return _nan_safe(standard_metrics(), design_from_params(params))
 
 
 @register_task("margins")
@@ -196,9 +160,8 @@ def margins_task(params: dict[str, Any]) -> dict[str, float]:
     """LTI vs effective margins (paper Fig. 7 quantities) on one loop."""
     from repro.pll.margins import compare_margins
 
-    with _task_backend(params):
-        pll = design_from_params(params)
-        margins = compare_margins(pll, points=int(params.get("points", 4000)))
+    pll = design_from_params(params)
+    margins = compare_margins(pll, points=int(params.get("points", 4000)))
     return {
         "omega_ug_lti": margins.omega_ug_lti,
         "phase_margin_lti_deg": margins.phase_margin_lti_deg,
@@ -216,29 +179,28 @@ def stability_cell_task(params: dict[str, Any]) -> dict[str, float]:
     from repro.pll.design import shape_phase_margin_deg
     from repro.pll.margins import effective_margin
 
-    with _task_backend(params):
-        pll = design_from_params(params)
-        # One G_z gives both the closed-loop z-poles and the effective margin.
-        sampled = sampled_open_loop(pll)
-        poles = closed_loop_z(sampled).poles()
-        radius = float(np.max(np.abs(poles))) if poles.size else 0.0
-        out = {
-            "z_stable": 1.0 if radius < 1.0 else 0.0,
-            "z_pole_radius": radius,
-            "lti_phase_margin_deg": shape_phase_margin_deg(
-                float(params.get("separation", 4.0))
-            ),
-        }
-        out.update(
-            _nan_safe(
-                {
-                    "phase_margin_eff_deg": lambda p: effective_margin(
-                        p, points=int(params.get("points", 2000)), sampled=sampled
-                    )[1],
-                },
-                pll,
-            )
+    pll = design_from_params(params)
+    # One G_z gives both the closed-loop z-poles and the effective margin.
+    sampled = sampled_open_loop(pll)
+    poles = closed_loop_z(sampled).poles()
+    radius = float(np.max(np.abs(poles))) if poles.size else 0.0
+    out = {
+        "z_stable": 1.0 if radius < 1.0 else 0.0,
+        "z_pole_radius": radius,
+        "lti_phase_margin_deg": shape_phase_margin_deg(
+            float(params.get("separation", 4.0))
+        ),
+    }
+    out.update(
+        _nan_safe(
+            {
+                "phase_margin_eff_deg": lambda p: effective_margin(
+                    p, points=int(params.get("points", 2000)), sampled=sampled
+                )[1],
+            },
+            pll,
         )
+    )
     return out
 
 
@@ -257,11 +219,10 @@ def stability_limit_task(params: dict[str, Any]) -> dict[str, float]:
             omega0=omega0, omega_ug=ratio * omega0, separation=separation
         )
 
-    with _task_backend(params):
-        return {
-            "stability_limit": stability_limit_ratio(designer, tol=tol),
-            "lti_phase_margin_deg": shape_phase_margin_deg(separation),
-        }
+    return {
+        "stability_limit": stability_limit_ratio(designer, tol=tol),
+        "lti_phase_margin_deg": shape_phase_margin_deg(separation),
+    }
 
 
 @register_task("band_map")
@@ -278,14 +239,13 @@ def band_map_task(params: dict[str, Any]) -> dict[str, float]:
     from repro.core.sweep import band_transfer_map
     from repro.pll.openloop import open_loop_operator
 
-    with _task_backend(params):
-        pll = design_from_params(params)
-        order = int(params.get("order", 4))
-        points = int(params.get("points", 32))
-        grid = FrequencyGrid.baseband(pll.omega0, points=points)
-        mags = band_transfer_map(
-            FeedbackOperator(open_loop_operator(pll)), grid, order
-        )
+    pll = design_from_params(params)
+    order = int(params.get("order", 4))
+    points = int(params.get("points", 32))
+    grid = FrequencyGrid.baseband(pll.omega0, points=points)
+    mags = band_transfer_map(
+        FeedbackOperator(open_loop_operator(pll)), grid, order
+    )
     center = order
     diag = mags[:, center, center]
     off = mags.copy()
@@ -310,14 +270,13 @@ def design_summary_task(params: dict[str, Any]) -> dict[str, float]:
     import time as _time
 
     min_seconds = float(params.get("min_seconds", 0.0))
-    with _task_backend(params):
-        pll = design_from_params(params)
-        out = {
-            "omega0": float(pll.omega0),
-            "period": float(pll.period),
-            "ratio": float(params.get("ratio", float("nan"))),
-            "separation": float(params.get("separation", 4.0)),
-        }
+    pll = design_from_params(params)
+    out = {
+        "omega0": float(pll.omega0),
+        "period": float(pll.period),
+        "ratio": float(params.get("ratio", float("nan"))),
+        "separation": float(params.get("separation", 4.0)),
+    }
     if min_seconds > 0:
         _time.sleep(min_seconds)
     return out
@@ -335,26 +294,25 @@ def noise_summary_task(params: dict[str, Any]) -> dict[str, float]:
     from repro.core.grid import FrequencyGrid
     from repro.pll.noise import NoiseAnalysis, flat_psd, one_over_f2_psd
 
-    with _task_backend(params):
-        pll = design_from_params(params)
-        points = int(params.get("points", 200))
-        analysis = NoiseAnalysis(pll)
-        grid = FrequencyGrid.baseband(pll.omega0, points=points)
-        ref_level = float(params.get("reference_level", 1.0))
-        folded_bands = int(params.get("folded_bands", 8))
-        vco_level = float(params.get("vco_level", ref_level))
-        psd = analysis.output_psd(
-            grid,
-            reference_psd=flat_psd(ref_level),
-            vco_psd=one_over_f2_psd(vco_level, pll.omega0),
-            folded_bands=folded_bands,
-        )
-        h00 = np.abs(analysis.reference_transfer(grid))
-        return {
-            "rms_jitter": analysis.rms_jitter(grid, psd),
-            "peak_transfer": float(np.max(h00)),
-            "peaking_db": float(20.0 * np.log10(np.max(h00))),
-            "folded_gain_dc": float(
-                analysis.folded_reference_gain(grid, folded_bands)[0]
-            ),
-        }
+    pll = design_from_params(params)
+    points = int(params.get("points", 200))
+    analysis = NoiseAnalysis(pll)
+    grid = FrequencyGrid.baseband(pll.omega0, points=points)
+    ref_level = float(params.get("reference_level", 1.0))
+    folded_bands = int(params.get("folded_bands", 8))
+    vco_level = float(params.get("vco_level", ref_level))
+    psd = analysis.output_psd(
+        grid,
+        reference_psd=flat_psd(ref_level),
+        vco_psd=one_over_f2_psd(vco_level, pll.omega0),
+        folded_bands=folded_bands,
+    )
+    h00 = np.abs(analysis.reference_transfer(grid))
+    return {
+        "rms_jitter": analysis.rms_jitter(grid, psd),
+        "peak_transfer": float(np.max(h00)),
+        "peaking_db": float(20.0 * np.log10(np.max(h00))),
+        "folded_gain_dc": float(
+            analysis.folded_reference_gain(grid, folded_bands)[0]
+        ),
+    }

@@ -199,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="points per lease batch (0 = auto)",
         )
         sub.add_argument(
-            "--no-vectorize",
-            action="store_true",
-            help="disable vectorized batch adapters (scalar per-point path)",
-        )
-        sub.add_argument(
             "--lease-ttl",
             type=float,
             default=30.0,
@@ -951,7 +946,6 @@ def _policy_from_args(args) -> "ExecutionPolicy":
         stream_interval=args.stream_interval,
         memory_budget_mb=args.memory_budget_mb,
         batch_size=args.batch_size,
-        vectorize=not args.no_vectorize,
         lease_ttl=args.lease_ttl,
         profile=args.profile,
     )

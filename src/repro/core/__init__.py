@@ -22,18 +22,6 @@ output (Fig. 2).  This package provides:
   sweeps, band-transfer maps and automatic truncation-order selection.
 """
 
-from repro.core.backend import (
-    BackendUnavailable,
-    ComputeBackend,
-    NumbaBackend,
-    NumpyBackend,
-    available_backends,
-    backend_scope,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-)
 from repro.core.grid import FrequencyGrid, as_omega_grid, as_s_grid
 from repro.core.htm import HTM
 from repro.core.memo import GridEvalCache, cache_stats, clear_cache, grid_cache
@@ -63,16 +51,6 @@ from repro.core.sweep import band_transfer_map, sweep_element, sweep_matrix
 from repro.core.truncation import TruncationReport, choose_truncation_order
 
 __all__ = [
-    "BackendUnavailable",
-    "ComputeBackend",
-    "NumbaBackend",
-    "NumpyBackend",
-    "available_backends",
-    "backend_scope",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
     "StructuredGrid",
     "FrequencyGrid",
     "as_omega_grid",

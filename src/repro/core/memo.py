@@ -11,9 +11,9 @@ loop for the same PLL.  :class:`GridEvalCache` memoizes the result of
 so a composite evaluation reuses any child block that was already computed
 for the same grid.  The optional ``flavor`` component separates evaluation
 variants of the same operator/grid/order — structured evaluation uses
-``("structured", backend_name)`` so a lazily-tagged
+``("structured",)`` so a lazily-tagged
 :class:`~repro.core.structured.StructuredGrid` and the dense oracle stack
-never collide, and results from different compute backends stay distinct.
+never collide.
 
 Scalar conveniences (``operator.dense``, ``operator.htm``) evaluate inside
 :func:`bypass`, a scope in which :meth:`GridEvalCache.fetch` neither looks
@@ -223,9 +223,8 @@ class GridEvalCache:
     ) -> np.ndarray:
         """Return the cached grid block or compute, store and return it.
 
-        ``flavor``, when given, becomes part of the key — evaluation
-        variants (structured grids per backend) cache independently of the
-        plain dense stack.
+        ``flavor``, when given, becomes part of the key — structured grids
+        cache independently of the plain dense stack.
         """
         if not self.enabled or self.maxsize <= 0 or bypass_active():
             return compute(s_arr, order)

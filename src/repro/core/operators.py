@@ -26,8 +26,7 @@ Evaluation comes in three flavours:
   banded / rank-one / dense) and composites compose the *tags* symbolically
   — a rank-one loop's feedback closure runs through the paper's SMW scalar
   denominator instead of a stacked solve — closing to numbers only at the
-  terminal call, through a pluggable compute backend
-  (:mod:`repro.core.backend`).
+  terminal call.
 * :meth:`HarmonicOperator.dense_grid` — the batched **dense oracle**: a
   ``(len(s), 2K+1, 2K+1)`` stack built by brute-force composition
   (feedback really solves the stacked system).  The property suite asserts
@@ -49,8 +48,7 @@ from abc import ABC
 import numpy as np
 
 from repro._errors import ValidationError
-from repro._validation import check_order, check_positive
-from repro.core.backend import ComputeBackend, resolve_backend
+from repro._validation import check_order, check_positive, ignore_backend
 from repro.core.grid import as_s_grid
 from repro.core.htm import HTM
 from repro.core.memo import bypass as memo_bypass
@@ -91,9 +89,7 @@ class HarmonicOperator(ABC):
 
     # -- structured evaluation ---------------------------------------------------
 
-    def evaluate(
-        self, s, order: int, backend: str | ComputeBackend | None = None
-    ) -> StructuredGrid:
+    def evaluate(self, s, order: int, backend=None) -> StructuredGrid:
         """Structure-tagged lazy evaluation over a grid — the preferred API.
 
         ``s`` may be a :class:`~repro.core.grid.FrequencyGrid` (evaluated on
@@ -103,34 +99,26 @@ class HarmonicOperator(ABC):
         compose tags symbolically and numbers are only materialised by
         ``.to_dense()`` or a genuinely dense fallback.
 
-        ``backend`` selects the terminal-closure kernels (name, instance, or
-        ``None`` for the scoped/env/default resolution of
-        :func:`repro.core.backend.resolve_backend`).  Results are memoized
-        per operator node under a ``("structured", backend)`` cache flavor,
-        separate from the dense-oracle blocks, and are immutable.
+        Results are memoized per operator node under the
+        ``("structured",)`` cache flavor, separate from the dense-oracle
+        blocks, and are immutable.  ``backend`` is deprecated and ignored.
         """
+        ignore_backend(backend)
         s_arr = as_s_grid("s", s)
         order = check_order("order", order, minimum=0)
-        bk = resolve_backend(backend)
-
-        def compute(sa: np.ndarray, od: int) -> StructuredGrid:
-            return self._structured_kernel(sa, od, bk)
-
-        flavor = ("structured", bk.name)
+        compute = self._structured_kernel
+        flavor = ("structured",)
         if obs.enabled():
             with obs.span(
                 "core.evaluate",
                 op=type(self).__name__,
                 points=int(s_arr.size),
                 order=int(order),
-                backend=bk.name,
             ):
                 return grid_cache.fetch(self, s_arr, order, compute, flavor=flavor)
         return grid_cache.fetch(self, s_arr, order, compute, flavor=flavor)
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         """Structure-tagged kernel behind :meth:`evaluate` — override this.
 
         The base class raises; :meth:`_structured_kernel` falls back to
@@ -138,9 +126,7 @@ class HarmonicOperator(ABC):
         """
         raise NotImplementedError
 
-    def _structured_kernel(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_kernel(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         """Dispatch to the best available kernel for this class.
 
         Preference order: the structured protocol, then a scalar ``dense``
@@ -148,13 +134,13 @@ class HarmonicOperator(ABC):
         """
         cls = type(self)
         if cls._structured_grid is not HarmonicOperator._structured_grid:
-            return self._structured_grid(s_arr, order, backend)
+            return self._structured_grid(s_arr, order)
         if cls.dense is not HarmonicOperator.dense:
             size = 2 * order + 1
             out = np.empty((s_arr.size, size, size), dtype=complex)
             for i, si in enumerate(s_arr):
                 out[i] = self.dense(complex(si), order)
-            return StructuredGrid.dense(out, order=order, backend=backend)
+            return StructuredGrid.dense(out, order=order)
         raise TypeError(
             f"{cls.__name__} implements neither _structured_grid nor dense"
         )
@@ -209,9 +195,7 @@ class HarmonicOperator(ABC):
         :class:`FeedbackOperator` overrides it so the dense path stays a
         genuinely independent stacked solve (the dense oracle).
         """
-        return np.asarray(
-            self._structured_kernel(s_arr, order, resolve_backend(None)).to_dense()
-        )
+        return np.asarray(self._structured_kernel(s_arr, order).to_dense())
 
     def fingerprint(self) -> tuple:
         """Hashable, id-stable structural key for grid memoization.
@@ -280,15 +264,9 @@ class HarmonicOperator(ABC):
 class IdentityOperator(HarmonicOperator):
     """The identity system ``y = u``."""
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         ones = np.ones(2 * order + 1, dtype=complex)
-        return StructuredGrid.diagonal(
-            np.broadcast_to(ones, (s_arr.size, ones.size)),
-            order=order,
-            backend=backend,
-        )
+        return StructuredGrid.diagonal(np.broadcast_to(ones, (s_arr.size, ones.size)), order=order)
 
     def fingerprint(self) -> tuple:
         return ("identity", self._omega0)
@@ -336,12 +314,10 @@ class LTIOperator(HarmonicOperator):
         )
         return flat.reshape(s_grid.shape)
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         n = np.arange(-order, order + 1)
         diag = self._transfer_values(s_arr[:, None] + 1j * self._omega0 * n[None, :])
-        return StructuredGrid.diagonal(diag, order=order, backend=backend)
+        return StructuredGrid.diagonal(diag, order=order)
 
     def fingerprint(self) -> tuple:
         return ("lti", self._omega0, _transfer_fingerprint(self.transfer))
@@ -354,9 +330,7 @@ class MultiplicationOperator(HarmonicOperator):
         super().__init__(series.omega0)
         self.series = series
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         # The Toeplitz HTM is s-independent: one broadcast constant per
         # non-zero harmonic band, zero extra memory per grid point.
         size = 2 * order + 1
@@ -370,8 +344,8 @@ class MultiplicationOperator(HarmonicOperator):
             bands[k] = np.broadcast_to(np.asarray(pk), (s_arr.size, size))
         if not bands or set(bands) == {0}:
             diag = bands.get(0, np.zeros((s_arr.size, size), dtype=complex))
-            return StructuredGrid.diagonal(diag, order=order, backend=backend)
-        return StructuredGrid.banded(bands, order=order, backend=backend)
+            return StructuredGrid.diagonal(diag, order=order)
+        return StructuredGrid.banded(bands, order=order)
 
     def fingerprint(self) -> tuple:
         return ("mult", self._omega0, self.series.coefficients.tobytes())
@@ -400,9 +374,7 @@ class SamplingOperator(HarmonicOperator):
         """The rank-one row factor: ``exp(-j m w0 offset)`` per input harmonic."""
         return np.conj(self.column_vector(order))
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         # s-independent rank one: the gain folds into the column factor and
         # both factors broadcast (zero-copy) over the grid.
         gain = self._omega0 / (2 * np.pi)
@@ -412,7 +384,6 @@ class SamplingOperator(HarmonicOperator):
             np.broadcast_to(column, (s_arr.size, column.size)),
             np.broadcast_to(row, (s_arr.size, row.size)),
             order=order,
-            backend=backend,
         )
 
     def fingerprint(self) -> tuple:
@@ -437,19 +408,13 @@ class IsfIntegrationOperator(HarmonicOperator):
         coeffs = series.coefficients
         return np.flatnonzero(coeffs) - series.order
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         size = 2 * order + 1
         n = np.arange(-order, order + 1)
         denom = s_arr[:, None] + 1j * n[None, :] * self._omega0  # (L, N)
         offsets = [int(k) for k in self._nonzero_offsets() if abs(int(k)) <= size - 1]
         if not offsets:
-            return StructuredGrid.diagonal(
-                np.zeros((s_arr.size, size), dtype=complex),
-                order=order,
-                backend=backend,
-            )
+            return StructuredGrid.diagonal(np.zeros((s_arr.size, size), dtype=complex), order=order)
         # One band per non-zero ISF harmonic; rows whose column index falls
         # outside the truncation stay exact zeros and are never divided, so
         # structural zeros survive even at the integrator poles s = -j n w0.
@@ -464,8 +429,8 @@ class IsfIntegrationOperator(HarmonicOperator):
                     val[:, rows] = vk / denom[:, rows]
                 bands[k] = val
         if set(bands) == {0}:
-            return StructuredGrid.diagonal(bands[0], order=order, backend=backend)
-        return StructuredGrid.banded(bands, order=order, backend=backend)
+            return StructuredGrid.diagonal(bands[0], order=order)
+        return StructuredGrid.banded(bands, order=order)
 
     def fingerprint(self) -> tuple:
         return ("isf", self._omega0, self.isf.series.coefficients.tobytes())
@@ -480,15 +445,11 @@ class SeriesOperator(HarmonicOperator):
         self.second = second
         self.first = first
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         # Structure composes symbolically: diagonal x diagonal stays an
         # elementwise product, anything x rank-one stays factored, and only
         # genuinely dense pairs fall back to a stacked matmul.
-        return self.second.evaluate(s_arr, order, backend=backend) @ self.first.evaluate(
-            s_arr, order, backend=backend
-        )
+        return self.second.evaluate(s_arr, order) @ self.first.evaluate(s_arr, order)
 
     def fingerprint(self) -> tuple:
         return ("series", self.second.fingerprint(), self.first.fingerprint())
@@ -503,12 +464,8 @@ class ParallelOperator(HarmonicOperator):
         self.left = left
         self.right = right
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        return self.left.evaluate(s_arr, order, backend=backend) + self.right.evaluate(
-            s_arr, order, backend=backend
-        )
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        return self.left.evaluate(s_arr, order) + self.right.evaluate(s_arr, order)
 
     def fingerprint(self) -> tuple:
         return ("parallel", self.left.fingerprint(), self.right.fingerprint())
@@ -522,10 +479,8 @@ class ScaledOperator(HarmonicOperator):
         self.inner = inner
         self.scalar = complex(scalar)
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        return self.inner.evaluate(s_arr, order, backend=backend).scale(self.scalar)
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        return self.inner.evaluate(s_arr, order).scale(self.scalar)
 
     def fingerprint(self) -> tuple:
         return ("scaled", self.scalar, self.inner.fingerprint())
@@ -549,10 +504,8 @@ class FeedbackOperator(HarmonicOperator):
         super().__init__(open_loop.omega0)
         self.open_loop = open_loop
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        return self.open_loop.evaluate(s_arr, order, backend=backend).feedback()
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        return self.open_loop.evaluate(s_arr, order).feedback()
 
     def _dense_grid(self, s_arr: np.ndarray, order: int) -> np.ndarray:
         g = self.open_loop.dense_grid(s_arr, order)

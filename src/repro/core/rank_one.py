@@ -107,24 +107,20 @@ def smw_closed_loop(column: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def smw_closed_loop_grid(
-    column: np.ndarray, row: np.ndarray, backend=None
+    column: np.ndarray, row: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched SMW closure over a grid, staying in factored rank-one form.
 
     ``column`` and ``row`` are ``(L, N)`` stacks of the open-loop factors
     ``G(s_l) = c_l r_l^T`` per grid point.  Returns the closed-loop factors
     ``(column / (1 + lambda), row)`` — paper eq. (34) without ever forming a
-    matrix, O(N) per point.  The scalar reduction runs through the pluggable
-    kernel set of :mod:`repro.core.backend`.
+    matrix, O(N) per point.
 
     Unlike the scalar :func:`smw_closed_loop`, grid points where
     ``1 + lambda`` vanishes do **not** raise: they go to inf/nan — the same
     behaviour as the batched dense solve this path replaces — and are
     flagged through a warning health event when observability is enabled.
     """
-    from repro.core.backend import resolve_backend
-
-    bk = resolve_backend(backend)
     column = np.asarray(column, dtype=complex)
     row = np.asarray(row, dtype=complex)
     if column.ndim != 2 or column.shape != row.shape:
@@ -132,7 +128,7 @@ def smw_closed_loop_grid(
             "column and row must be (points, size) stacks of equal shape, got "
             f"{column.shape} and {row.shape}"
         )
-    lam = bk.rank_one_lambda(column, row)
+    lam = np.einsum("ln,ln->l", row, column)
     denom = 1.0 + lam
     if obs.enabled():
         obs.add("core.rank_one.smw_closed_loop_grid", points=int(column.shape[0]))
@@ -149,7 +145,7 @@ def smw_closed_loop_grid(
                 size=int(column.shape[1]),
             )
     with np.errstate(divide="ignore", invalid="ignore"):
-        closed = bk.smw_close_column(column, denom)
+        closed = column / denom[:, None]
     return closed, row
 
 

@@ -21,8 +21,7 @@ diagonal is an elementwise product, anything times rank-one stays rank-one,
 and the feedback closure of a rank-one loop goes through the SMW scalar
 denominator (paper eqs. 30–34, O(N) per grid point) instead of a stacked
 ``(N, N)`` solve.  Numbers are only materialised by :meth:`to_dense` (or a
-genuinely dense fallback), through the pluggable kernel set of
-:mod:`repro.core.backend`.
+genuinely dense fallback).
 
 Instances are immutable: component arrays are frozen read-only so cached
 grids can be shared between callers (see :mod:`repro.core.memo`).
@@ -33,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._errors import ValidationError
-from repro.core.backend import ComputeBackend, resolve_backend
 from repro.core.rank_one import smw_closed_loop_grid
 from repro.obs import health
 from repro.obs import spans as obs
@@ -56,12 +54,11 @@ def _freeze(arr) -> np.ndarray:
 class StructuredGrid:
     """One operator's HTM over a frequency grid, tagged with its structure."""
 
-    __slots__ = ("kind", "order", "backend", "_diag", "_bands", "_column", "_row", "_data")
+    __slots__ = ("kind", "order", "_diag", "_bands", "_column", "_row", "_data")
 
-    def __init__(self, kind: str, order: int, backend: ComputeBackend | None = None):
+    def __init__(self, kind: str, order: int):
         self.kind = kind
         self.order = int(order)
-        self.backend = resolve_backend(backend)
         self._diag = None
         self._bands = None
         self._column = None
@@ -71,22 +68,22 @@ class StructuredGrid:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def diagonal(cls, diag, *, order: int, backend=None) -> "StructuredGrid":
+    def diagonal(cls, diag, *, order: int) -> "StructuredGrid":
         """A diagonal stack from ``diag`` of shape ``(L, 2*order+1)``."""
-        out = cls(DIAGONAL, order, backend)
+        out = cls(DIAGONAL, order)
         out._diag = _freeze(diag)
         out._check_factor(out._diag, "diag")
         return out
 
     @classmethod
-    def banded(cls, bands, *, order: int, backend=None) -> "StructuredGrid":
+    def banded(cls, bands, *, order: int) -> "StructuredGrid":
         """A banded Toeplitz-like stack from ``{offset: (L, N) values}``.
 
         ``bands[k][l, i]`` is the entry at ``(i, i - k)``; positions whose
         column index falls outside the truncation are ignored, so they may
         hold arbitrary values (broadcast constants included).
         """
-        out = cls(BANDED, order, backend)
+        out = cls(BANDED, order)
         frozen = {int(k): _freeze(v) for k, v in bands.items()}
         if not frozen:
             raise ValidationError("banded grid needs at least one band")
@@ -96,9 +93,9 @@ class StructuredGrid:
         return out
 
     @classmethod
-    def rank_one(cls, column, row, *, order: int, backend=None) -> "StructuredGrid":
+    def rank_one(cls, column, row, *, order: int) -> "StructuredGrid":
         """A rank-one stack ``column[l] row[l]^T`` from ``(L, N)`` factors."""
-        out = cls(RANK_ONE, order, backend)
+        out = cls(RANK_ONE, order)
         out._column = _freeze(column)
         out._row = _freeze(row)
         out._check_factor(out._column, "column")
@@ -106,9 +103,9 @@ class StructuredGrid:
         return out
 
     @classmethod
-    def dense(cls, data, *, order: int, backend=None) -> "StructuredGrid":
+    def dense(cls, data, *, order: int) -> "StructuredGrid":
         """A dense stack from ``data`` of shape ``(L, N, N)``."""
-        out = cls(DENSE, order, backend)
+        out = cls(DENSE, order)
         out._data = _freeze(data)
         size = 2 * out.order + 1
         if out._data.ndim != 3 or out._data.shape[1:] != (size, size):
@@ -157,10 +154,7 @@ class StructuredGrid:
         return int(self._data.nbytes)
 
     def __repr__(self) -> str:
-        return (
-            f"StructuredGrid(kind={self.kind!r}, points={self.npoints}, "
-            f"order={self.order}, backend={self.backend.name!r})"
-        )
+        return f"StructuredGrid(kind={self.kind!r}, points={self.npoints}, order={self.order})"
 
     # -- element access -----------------------------------------------------------
 
@@ -190,12 +184,13 @@ class StructuredGrid:
         """Materialise the ``(L, N, N)`` stack (read-only) — the terminal call."""
         if self.kind == DENSE:
             return self._data
-        if self.kind == DIAGONAL:
-            return _freeze(self.backend.diag_dense(self._diag))
         if self.kind == RANK_ONE:
-            return _freeze(self.backend.rank_one_dense(self._column, self._row))
+            return _freeze(self._column[:, :, None] * self._row[:, None, :])
         out = np.zeros(self.shape, dtype=complex)
         idx = np.arange(self.size)
+        if self.kind == DIAGONAL:
+            out[:, idx, idx] = self._diag
+            return _freeze(out)
         for k, val in self._bands.items():
             rows = idx[(idx - k >= 0) & (idx - k < self.size)]
             if rows.size:
@@ -209,7 +204,7 @@ class StructuredGrid:
         if self.kind == DIAGONAL:
             return self._diag * vec
         if self.kind == RANK_ONE:
-            inner = self.backend.rank_one_lambda(vec, self._row)
+            inner = np.einsum("ln,ln->l", self._row, vec)
             return self._column * inner[:, None]
         if self.kind == BANDED:
             out = np.zeros(vec.shape, dtype=complex)
@@ -226,7 +221,7 @@ class StructuredGrid:
         if self.kind == DIAGONAL:
             return vec * self._diag
         if self.kind == RANK_ONE:
-            inner = self.backend.rank_one_lambda(self._column, vec)
+            inner = np.einsum("ln,ln->l", vec, self._column)
             return self._row * inner[:, None]
         if self.kind == BANDED:
             out = np.zeros(vec.shape, dtype=complex)
@@ -259,27 +254,21 @@ class StructuredGrid:
         self._check_compatible(other)
         if obs.enabled():
             obs.add("core.structured.matmul", pair=f"{self.kind}@{other.kind}")
-        bk = self.backend
         if self.kind == DIAGONAL and other.kind == DIAGONAL:
-            return StructuredGrid.diagonal(
-                self._diag * other._diag, order=self.order, backend=bk
-            )
+            return StructuredGrid.diagonal(self._diag * other._diag, order=self.order)
         # Rank-one absorbs anything on either side and stays rank one.
         if other.kind == RANK_ONE:
             return StructuredGrid.rank_one(
-                self.apply_to_column(other._column), other._row,
-                order=self.order, backend=bk,
+                self.apply_to_column(other._column), other._row, order=self.order
             )
         if self.kind == RANK_ONE:
             return StructuredGrid.rank_one(
-                self._column, other.apply_to_row(self._row),
-                order=self.order, backend=bk,
+                self._column, other.apply_to_row(self._row), order=self.order
             )
         if self.kind in (DIAGONAL, BANDED) and other.kind in (DIAGONAL, BANDED):
             return self._banded_matmul(other)
         return StructuredGrid.dense(
-            np.matmul(self.to_dense(), other.to_dense()),
-            order=self.order, backend=bk,
+            np.matmul(self.to_dense(), other.to_dense()), order=self.order
         )
 
     def _banded_matmul(self, other: "StructuredGrid") -> "StructuredGrid":
@@ -302,51 +291,39 @@ class StructuredGrid:
                     out[off] = term
         if not out:
             return StructuredGrid.diagonal(
-                np.zeros((self.npoints, size), dtype=complex),
-                order=self.order, backend=self.backend,
+                np.zeros((self.npoints, size), dtype=complex), order=self.order
             )
         if set(out) == {0}:
-            return StructuredGrid.diagonal(
-                out[0], order=self.order, backend=self.backend
-            )
-        return StructuredGrid.banded(out, order=self.order, backend=self.backend)
+            return StructuredGrid.diagonal(out[0], order=self.order)
+        return StructuredGrid.banded(out, order=self.order)
 
     def __add__(self, other: "StructuredGrid") -> "StructuredGrid":
         self._check_compatible(other)
         if obs.enabled():
             obs.add("core.structured.add", pair=f"{self.kind}+{other.kind}")
-        bk = self.backend
         if self.kind == DIAGONAL and other.kind == DIAGONAL:
-            return StructuredGrid.diagonal(
-                self._diag + other._diag, order=self.order, backend=bk
-            )
+            return StructuredGrid.diagonal(self._diag + other._diag, order=self.order)
         if self.kind in (DIAGONAL, BANDED) and other.kind in (DIAGONAL, BANDED):
             merged = self._as_bands()
             for k, val in other._as_bands().items():
                 merged[k] = merged[k] + val if k in merged else val
             if set(merged) == {0}:
-                return StructuredGrid.diagonal(merged[0], order=self.order, backend=bk)
-            return StructuredGrid.banded(merged, order=self.order, backend=bk)
-        return StructuredGrid.dense(
-            self.to_dense() + other.to_dense(), order=self.order, backend=bk
-        )
+                return StructuredGrid.diagonal(merged[0], order=self.order)
+            return StructuredGrid.banded(merged, order=self.order)
+        return StructuredGrid.dense(self.to_dense() + other.to_dense(), order=self.order)
 
     def scale(self, alpha: complex) -> "StructuredGrid":
         """Scalar multiple — structure-preserving for every tag."""
         alpha = complex(alpha)
-        bk = self.backend
         if self.kind == DIAGONAL:
-            return StructuredGrid.diagonal(alpha * self._diag, order=self.order, backend=bk)
+            return StructuredGrid.diagonal(alpha * self._diag, order=self.order)
         if self.kind == BANDED:
             return StructuredGrid.banded(
-                {k: alpha * v for k, v in self._bands.items()},
-                order=self.order, backend=bk,
+                {k: alpha * v for k, v in self._bands.items()}, order=self.order
             )
         if self.kind == RANK_ONE:
-            return StructuredGrid.rank_one(
-                alpha * self._column, self._row, order=self.order, backend=bk
-            )
-        return StructuredGrid.dense(alpha * self._data, order=self.order, backend=bk)
+            return StructuredGrid.rank_one(alpha * self._column, self._row, order=self.order)
+        return StructuredGrid.dense(alpha * self._data, order=self.order)
 
     # -- feedback closure ---------------------------------------------------------
 
@@ -363,12 +340,11 @@ class StructuredGrid:
         mirror the dense solve: the affected points go to inf/nan and are
         flagged through warning health events rather than raising.
         """
-        bk = self.backend
         if obs.enabled():
             obs.add("core.structured.feedback", kind=self.kind)
         if self.kind == RANK_ONE:
-            column, row = smw_closed_loop_grid(self._column, self._row, backend=bk)
-            return StructuredGrid.rank_one(column, row, order=self.order, backend=bk)
+            column, row = smw_closed_loop_grid(self._column, self._row)
+            return StructuredGrid.rank_one(column, row, order=self.order)
         if self.kind == DIAGONAL:
             denom = 1.0 + self._diag
             if obs.enabled():
@@ -385,9 +361,7 @@ class StructuredGrid:
                         size=int(self.size),
                     )
             with np.errstate(divide="ignore", invalid="ignore"):
-                return StructuredGrid.diagonal(
-                    bk.diag_feedback(self._diag), order=self.order, backend=bk
-                )
+                return StructuredGrid.diagonal(self._diag / denom, order=self.order)
         if obs.enabled():
             obs.add("core.structured.feedback_dense", kind=self.kind)
         g = self.to_dense()
@@ -406,6 +380,4 @@ class StructuredGrid:
                     message="ill-conditioned I + G in structured feedback fallback",
                     order=int(self.order),
                 )
-        return StructuredGrid.dense(
-            np.linalg.solve(system, g), order=self.order, backend=bk
-        )
+        return StructuredGrid.dense(np.linalg.solve(system, g), order=self.order)

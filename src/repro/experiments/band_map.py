@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._validation import check_order
+from repro._validation import check_order, ignore_backend
 from repro.core.grid import FrequencyGrid
 from repro.pll.closedloop import ClosedLoopHTM
 from repro.pll.design import design_typical_loop
@@ -39,13 +39,13 @@ def run_band_map(
     bands: int = 3,
     omega0: float = 2 * np.pi,
     points: int = 120,
-    backend: str | None = None,
+    backend=None,
 ) -> BandMapResult:
     """Sweep |H_{n,0}(j w)| over the baseband and record per-band peaks.
 
-    ``backend`` is forwarded to :class:`ClosedLoopHTM` for any structured
-    grid evaluation underneath.
+    ``backend`` is deprecated and ignored.
     """
+    ignore_backend(backend)
     check_order("bands", bands, minimum=1)
     ratios_arr = np.asarray(ratios, dtype=float)
     band_idx = np.arange(-bands, bands + 1)
@@ -53,7 +53,7 @@ def run_band_map(
     grid = FrequencyGrid.linear(0.01 * omega0, 0.49 * omega0, points)
     for i, ratio in enumerate(ratios_arr):
         pll = design_typical_loop(omega0=omega0, omega_ug=float(ratio) * omega0)
-        closed = ClosedLoopHTM(pll, backend=backend)
+        closed = ClosedLoopHTM(pll)
         lam = closed.effective_gain_response(grid)
         # One batched column evaluation covers every output band at once.
         cols = closed.vtilde_grid(grid, bands)

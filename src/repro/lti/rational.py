@@ -105,7 +105,7 @@ class RationalFunction:
     :meth:`simplified` explicitly when cancellation is wanted.
     """
 
-    __slots__ = ("_num", "_den", "_pf_cache")
+    __slots__ = ("_num", "_den", "_pf_cache", "_poles")
 
     def __init__(self, num: Sequence[complex], den: Sequence[complex]):
         num_arr = _as_poly("num", num)
@@ -118,6 +118,7 @@ class RationalFunction:
         object.__setattr__(self, "_num", num_arr / lead)
         object.__setattr__(self, "_den", den_arr / lead)
         object.__setattr__(self, "_pf_cache", {})
+        object.__setattr__(self, "_poles", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -194,10 +195,16 @@ class RationalFunction:
         return bool(np.all(np.abs(self._num) <= tol))
 
     def poles(self) -> np.ndarray:
-        """Roots of the denominator (with multiplicity, unsorted)."""
-        if self.den_degree == 0:
-            return np.empty(0, dtype=complex)
-        return np.roots(self._den)
+        """Roots of the denominator (with multiplicity, unsorted).
+
+        The denominator is rooted once per instance (the coefficients are
+        immutable, which the partial-fraction ladder relies on); each call
+        returns a fresh copy.
+        """
+        if self._poles is None:
+            roots = np.roots(self._den) if self.den_degree else np.empty(0, dtype=complex)
+            object.__setattr__(self, "_poles", roots)
+        return self._poles.copy()
 
     def zeros(self) -> np.ndarray:
         """Roots of the numerator (with multiplicity, unsorted)."""

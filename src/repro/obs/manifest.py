@@ -110,20 +110,6 @@ def _numpy_version() -> str | None:
         return None
 
 
-def _backend_name() -> str | None:
-    """The compute backend this run would resolve to (after any fallback).
-
-    Lazily imported and defensive: the manifest must never fail to build
-    because the core package is in a broken state.
-    """
-    try:
-        from repro.core.backend import default_backend_name
-
-        return default_backend_name()
-    except Exception:
-        return None
-
-
 def environment_info() -> dict[str, Any]:
     """The environment half of a manifest: versions, platform, obs switches.
 
@@ -135,7 +121,6 @@ def environment_info() -> dict[str, Any]:
         "git_sha": _git_sha(),
         "python": platform.python_version(),
         "numpy": _numpy_version(),
-        "backend": _backend_name(),
         "platform": platform.platform(),
         "obs": {
             "enabled": _spans.enabled(),

@@ -388,12 +388,7 @@ def load_store_events(store_path: str | Path) -> list[dict[str, Any]]:
 #: distributed-coordination overhead.
 CRITICAL_PATH_BUCKETS: dict[str, tuple[str, ...]] = {
     "queue": ("serve.batch.wait", "lease.idle"),
-    "evaluate": (
-        "campaign.point",
-        "campaign.point_batch",
-        "serve.request",
-        "serve.batch",
-    ),
+    "evaluate": ("campaign.point", "serve.request", "serve.batch"),
     "spill": ("serve.job.spill",),
     "lease_reclaim": ("lease.reclaim", "lease.claim"),
 }

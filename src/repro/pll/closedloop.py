@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._errors import ValidationError
-from repro._validation import check_order
+from repro._validation import check_order, ignore_backend
 from repro.core.aliasing import AliasedSum
 from repro.core.grid import FrequencyGrid, as_omega_grid, as_s_grid
 from repro.core.htm import HTM
@@ -55,10 +55,7 @@ class ClosedLoopHTM:
     harmonics:
         Truncation half-width M for ``method='truncated'``.
     backend:
-        Compute backend (name or instance) for structured grid evaluations
-        (:meth:`structured_reference_grid`); ``None`` uses the scoped /
-        ``REPRO_BACKEND`` / numpy resolution of
-        :func:`repro.core.backend.resolve_backend`.
+        Deprecated and ignored.
     """
 
     def __init__(
@@ -66,8 +63,9 @@ class ClosedLoopHTM:
         pll: PLL,
         method: str = "closed",
         harmonics: int = 64,
-        backend: str | None = None,
+        backend=None,
     ):
+        ignore_backend(backend)
         if method not in ("closed", "truncated"):
             raise ValidationError(f"method must be 'closed' or 'truncated', got {method!r}")
         from repro.blocks.pfd import SampleHoldPFD
@@ -85,7 +83,6 @@ class ClosedLoopHTM:
             )
         self.pll = pll
         self.method = method
-        self.backend = backend
         self.harmonics = check_order("harmonics", harmonics, minimum=1)
         self._gain = pll.pfd.gain  # w0 / 2pi
         self._h_lf = pll.h_lf
@@ -366,11 +363,8 @@ class ClosedLoopHTM:
         SMW scalar denominator (O(N) per point) instead of the stacked dense
         solve.  Returns a :class:`~repro.core.structured.StructuredGrid`;
         call ``.to_dense()`` or ``.element_grid(n, m)`` to get numbers.
-
-        Uses the instance's ``backend`` (constructor argument) to pick the
-        terminal-closure kernels.
         """
-        return self._reference_operator().evaluate(s, order, backend=self.backend)
+        return self._reference_operator().evaluate(s, order)
 
     def _reference_operator(self) -> FeedbackOperator:
         """The (cached) brute-force closed-loop operator of eq. (28)."""

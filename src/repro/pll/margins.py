@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro._errors import ValidationError
+from repro._validation import ignore_backend
 from repro.core.grid import FrequencyGrid
 from repro.lti.bode import crossover_from_samples  # noqa: F401 - perfbench/tracing.py wraps it here
 from repro.lti.bode import exact_margins, gain_crossover, phase_margin
@@ -181,7 +182,7 @@ def compare_margins(
     omega_max_factor: float | None = None,
     points: int = 4000,
     grid: FrequencyGrid | None = None,
-    backend: str | None = None,
+    backend=None,
     **closed_loop_kwargs,
 ) -> EffectiveMargins:
     """Measure LTI and effective margins of one loop design.
@@ -191,15 +192,12 @@ def compare_margins(
     below the ``w0/2`` alias symmetry point, beyond which lambda repeats).
     Passing a :class:`~repro.core.grid.FrequencyGrid` instead pins the window
     to that grid's bounds (and a scan to its point count), overriding the
-    factor arguments.  ``backend`` selects the compute backend for any
-    structured grid evaluation underneath (forwarded to
-    :class:`ClosedLoopHTM`).
+    factor arguments.  ``backend`` is deprecated and ignored.
 
     Loops with ``lambda(s) = G_z(e^{sT})`` take both margins from polynomial
     roots; the others scan ``points`` samples (see the module docstring).
     """
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
+    ignore_backend(backend)
     w_lo, w_hi = _window(pll.omega0, omega_min_factor, omega_max_factor, grid)
     if grid is not None:
         points = len(grid)
@@ -255,7 +253,7 @@ def compare_margins_batch(
     omega_min_factor: float = 1e-3,
     omega_max_factor: float | None = None,
     points: int = 4000,
-    backend: str | None = None,
+    backend=None,
     **closed_loop_kwargs,
 ) -> list[EffectiveMargins | Exception]:
     """:func:`compare_margins` over many designs, one slot per design.
@@ -263,8 +261,10 @@ def compare_margins_batch(
     One failing design never poisons the batch: its slot carries the
     exception (``ConvergenceError``, ``ValidationError``, ...) that
     :func:`compare_margins` raised for it, and the other slots complete.
-    Each result is the scalar call's, bit for bit.
+    Each result is the scalar call's, bit for bit.  ``backend`` is
+    deprecated and ignored.
     """
+    ignore_backend(backend)
     results: list[EffectiveMargins | Exception] = []
     for pll in plls:
         try:
@@ -274,7 +274,6 @@ def compare_margins_batch(
                     omega_min_factor,
                     omega_max_factor,
                     points,
-                    backend=backend,
                     **closed_loop_kwargs,
                 )
             )
@@ -287,7 +286,7 @@ def margin_sweep(
     ratios: Sequence[float] | np.ndarray,
     designer: Callable[[float], PLL],
     points: int = 3000,
-    backend: str | None = None,
+    backend=None,
     **closed_loop_kwargs,
 ) -> list[EffectiveMargins]:
     """Sweep ``w_UG / w0`` and collect margins — the Fig. 7 data series.
@@ -301,10 +300,9 @@ def margin_sweep(
         :func:`repro.pll.design.design_typical_loop` with everything else
         fixed).
     backend:
-        Compute backend forwarded to every :func:`compare_margins` call.
+        Deprecated and ignored.
     """
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
+    ignore_backend(backend)
     out = []
     for ratio in np.asarray(ratios, dtype=float):
         if not 0.0 < ratio < 0.5:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro._errors import ValidationError
-from repro._validation import check_order, check_positive
+from repro._validation import check_order, check_positive, ignore_backend
 from repro.core.grid import FrequencyGrid, as_omega_grid
 from repro.pll.architecture import PLL
 from repro.pll.closedloop import ClosedLoopHTM
@@ -34,13 +34,11 @@ from repro.pll.closedloop import ClosedLoopHTM
 class NoiseAnalysis:
     """Output phase-noise composition of a locked PLL.
 
-    ``backend`` selects the compute backend for structured grid evaluations
-    underneath (forwarded to :class:`~repro.pll.closedloop.ClosedLoopHTM`).
+    ``backend`` is deprecated and ignored.
     """
 
-    def __init__(self, pll: PLL, backend: str | None = None, **closed_loop_kwargs):
-        if backend is not None:
-            closed_loop_kwargs.setdefault("backend", backend)
+    def __init__(self, pll: PLL, backend=None, **closed_loop_kwargs):
+        ignore_backend(backend)
         self.pll = pll
         self.closed_loop = ClosedLoopHTM(pll, **closed_loop_kwargs)
 

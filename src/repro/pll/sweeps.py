@@ -23,6 +23,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro._errors import ValidationError
+from repro._validation import ignore_backend
 from repro.core.grid import FrequencyGrid
 from repro.pll.architecture import PLL
 
@@ -146,26 +147,17 @@ def _metrics_task(
     parameter_name: str,
     designer: Callable[[float], PLL],
     metrics: Mapping[str, Callable[[PLL], float]],
-    backend: str | None = None,
 ) -> Callable[[dict[str, Any]], dict[str, float]]:
-    """Adapt (designer, metrics) into a campaign task with NaN-safety.
-
-    ``backend`` (or a per-point ``backend`` parameter) installs a scoped
-    compute-backend default around the whole point evaluation, so every
-    structured grid evaluation inside the metric callables picks it up
-    without explicit threading.
-    """
-    from repro.core.backend import backend_scope
+    """Adapt (designer, metrics) into a campaign task with NaN-safety."""
 
     def task(params: dict[str, Any]) -> dict[str, float]:
-        with backend_scope(params.get("backend", backend)):
-            pll = designer(float(params[parameter_name]))
-            out: dict[str, float] = {}
-            for name, fn in metrics.items():
-                try:
-                    out[name] = float(fn(pll))
-                except Exception:
-                    out[name] = float("nan")
+        pll = designer(float(params[parameter_name]))
+        out: dict[str, float] = {}
+        for name, fn in metrics.items():
+            try:
+                out[name] = float(fn(pll))
+            except Exception:
+                out[name] = float("nan")
         return out
 
     return task
@@ -179,7 +171,7 @@ def sweep(
     *,
     workers: int = 1,
     store_path: str | Path | None = None,
-    backend: str | None = None,
+    backend=None,
     **campaign_kwargs: Any,
 ) -> SweepResult:
     """Evaluate named metrics over designs produced by ``designer``.
@@ -194,11 +186,11 @@ def sweep(
     ``metrics`` may be closures), ``store_path=`` for a resumable JSONL
     result store, and any other :class:`repro.campaign.ExecutionPolicy`
     field (``timeout=``, ``retries=``...) as keyword arguments.
-    ``backend`` installs a scoped compute-backend default around every
-    point evaluation, in every worker.
+    ``backend`` is deprecated and ignored.
     """
     from repro.campaign import CampaignSpec, ListSpace, run_campaign
 
+    ignore_backend(backend)
     values_arr = np.asarray(values, dtype=float)
     if values_arr.ndim != 1 or values_arr.size == 0:
         raise ValidationError("values must be a non-empty 1-D sequence")
@@ -207,7 +199,7 @@ def sweep(
     spec = CampaignSpec.create(
         name=f"sweep:{parameter_name}",
         space=ListSpace.of([{parameter_name: float(v)} for v in values_arr]),
-        task=_metrics_task(parameter_name, designer, metrics, backend=backend),
+        task=_metrics_task(parameter_name, designer, metrics),
     )
     result = run_campaign(
         spec, store_path, workers=workers, **campaign_kwargs
@@ -233,7 +225,7 @@ def closed_loop_response_surface(
     values: Sequence[float],
     designer: Callable[[float], PLL],
     grid: FrequencyGrid,
-    backend: str | None = None,
+    backend=None,
     **closed_loop_kwargs,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Baseband ``H00(j omega)`` over a (design, frequency) product grid.
@@ -241,8 +233,8 @@ def closed_loop_response_surface(
     For each design produced by ``designer`` the whole frequency row is
     evaluated in one batched :meth:`~repro.pll.closedloop.ClosedLoopHTM.
     frequency_response` call, so the cost is one grid evaluation per design
-    rather than ``len(grid)`` scalar closures.  ``backend`` is forwarded to
-    each :class:`ClosedLoopHTM`.
+    rather than ``len(grid)`` scalar closures.  ``backend`` is deprecated
+    and ignored.
 
     Returns
     -------
@@ -252,9 +244,7 @@ def closed_loop_response_surface(
     """
     from repro.pll.closedloop import ClosedLoopHTM
 
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
-
+    ignore_backend(backend)
     if not isinstance(grid, FrequencyGrid):
         raise ValidationError(
             f"{parameter_name} surface requires a FrequencyGrid, got "
@@ -275,19 +265,35 @@ def standard_metrics() -> dict[str, Callable[[PLL], float]]:
 
     ``pm_lti`` / ``pm_eff`` (degrees), ``bandwidth_extension``,
     ``dominant_pole_real`` (rad/s; positive = unstable), ``modulus_margin``.
+    The three margin metrics share one :func:`compare_margins` per design
+    object; when it raises, each of them raises the same error (NaN).
     """
     from repro.lti.bode import modulus_margin
     from repro.pll.margins import compare_margins, effective_open_loop
     from repro.pll.poles import dominant_pole
 
+    last: list[tuple] = [(None, None)]  # (design, its margins or the error)
+
+    def margins(pll: PLL):
+        design, outcome = last[0]
+        if design is not pll:
+            try:
+                outcome = compare_margins(pll)
+            except Exception as exc:
+                outcome = exc
+            last[0] = (pll, outcome)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
     def pm_lti(pll: PLL) -> float:
-        return compare_margins(pll).phase_margin_lti_deg
+        return margins(pll).phase_margin_lti_deg
 
     def pm_eff(pll: PLL) -> float:
-        return compare_margins(pll).phase_margin_eff_deg
+        return margins(pll).phase_margin_eff_deg
 
     def bandwidth_extension(pll: PLL) -> float:
-        return compare_margins(pll).bandwidth_extension
+        return margins(pll).bandwidth_extension
 
     def dominant_pole_real(pll: PLL) -> float:
         return dominant_pole(pll).s.real

@@ -38,10 +38,9 @@ from repro.serve import AnalysisServer, ServerConfig
 pytestmark = pytest.mark.campaign
 
 SPACE = {"separation": [2.0, 4.0], "ratio": [0.05, 0.1, 0.15]}  # 6 cells
-# band_map on the scalar path spends its CPU inside core.dense_grid /
-# core.evaluate spans (the vectorized batch adapters collapse everything
-# into one campaign.point_batch span); 2000 points/cell gives the 397 Hz
-# sampler a comfortable number of ticks inside those spans.
+# band_map spends its CPU inside core.dense_grid / core.evaluate spans;
+# 2000 points/cell gives the 397 Hz sampler a comfortable number of ticks
+# inside those spans.
 TASK = "band_map"
 DEFAULTS = {"points": 2000}
 TRACE_ID = "cd" * 16
@@ -113,7 +112,6 @@ def _spawn_worker(store):
         [
             sys.executable, "-m", "repro", "campaign", "worker", str(store),
             "--max-idle", "5", "--poll-interval", "0.2", "--quiet",
-            "--no-vectorize",  # scalar path: samples land in core.* spans
         ],
         env=env,
         stdout=subprocess.PIPE,

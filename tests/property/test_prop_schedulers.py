@@ -5,7 +5,7 @@ lease workers on this host, and independently launched lease workers join
 a store by themselves.  They may differ only in *how* points reach
 terminal records — never in the records themselves (id, status, metrics,
 params), modulo ordering and per-run incidentals (elapsed, worker,
-tracebacks, batch tags).
+tracebacks).
 """
 
 import math
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.campaign import (
     CampaignSpec,
     ExecutionPolicy,
+    GridSpace,
     ListSpace,
     ResultStore,
     run_campaign,
@@ -74,9 +75,7 @@ class TestSchedulerEquivalence:
             name="prop", space=ListSpace.of(points), task="design_summary"
         )
         tmp = tmp_path_factory.mktemp("lease")
-        serial = run_campaign(
-            spec, tmp / "serial.jsonl", policy=ExecutionPolicy(vectorize=False)
-        )
+        serial = run_campaign(spec, tmp / "serial.jsonl")
         lease_result = run_campaign(
             spec,
             tmp / "r.jsonl",
@@ -100,11 +99,7 @@ class TestSchedulerEquivalence:
         spec = CampaignSpec.create(
             name="prop3", space=ListSpace.of(points), task="design_summary"
         )
-        serial = run_campaign(
-            spec,
-            tmp_path / "serial.jsonl",
-            policy=ExecutionPolicy(vectorize=False),
-        )
+        serial = run_campaign(spec, tmp_path / "serial.jsonl")
         two_workers = run_campaign(
             spec,
             tmp_path / "two.jsonl",
@@ -124,3 +119,62 @@ class TestSchedulerEquivalence:
         for path in (tmp_path / "serial.jsonl", tmp_path / "two.jsonl", lease_store):
             counts = ResultStore.open(path).terminal_record_counts()
             assert max(counts.values()) == 1, path
+
+
+SPACE = GridSpace.of(ratio=[0.05, 0.1, 0.2], separation=[3.0, 5.0])
+
+
+def _records_by_id(result):
+    return {r["id"]: r for r in result.records}
+
+
+def _assert_identical_metrics(a, b, context):
+    assert a.keys() == b.keys(), context
+    for key in a:
+        va, vb = a[key], b[key]
+        if isinstance(va, float) and math.isnan(va):
+            assert math.isnan(vb), (context, key)
+        else:
+            assert va == vb, (context, key, va, vb)
+
+
+class TestAnalysisTasks:
+    """Real analysis tasks: ``--workers 2`` records equal the serial ones bit for bit."""
+
+    @pytest.mark.parametrize("task", ["margins", "band_map", "stability_cell"])
+    def test_workers_match_serial(self, task):
+        spec = CampaignSpec.create(name="t", space=SPACE, task=task)
+        serial = run_campaign(spec)
+        workers = run_campaign(spec, policy=ExecutionPolicy(workers=2, batch_size=6))
+        ref = _records_by_id(serial)
+        assert len(workers.records) == len(serial.records) == 6
+        for record in workers.records:
+            expected = ref[record["id"]]
+            assert record["status"] == expected["status"] == "ok"
+            _assert_identical_metrics(
+                expected["metrics"], record["metrics"], record["id"]
+            )
+
+    def test_failed_point_matches_serial(self):
+        space = ListSpace.of(
+            [
+                {"ratio": 0.1, "separation": 4.0},
+                {"separation": 4.0},
+                {"ratio": 0.2, "separation": 4.0},
+            ]
+        )
+        spec = CampaignSpec.create(name="t", space=space, task="margins")
+        serial = run_campaign(spec)
+        workers = run_campaign(spec, policy=ExecutionPolicy(workers=2, batch_size=3))
+        ref = _records_by_id(serial)
+        for record in workers.records:
+            expected = ref[record["id"]]
+            assert record["status"] == expected["status"]
+            if record["status"] == "failed":
+                assert (
+                    record["error"]["message"] == expected["error"]["message"]
+                )
+            else:
+                _assert_identical_metrics(
+                    expected["metrics"], record["metrics"], record["id"]
+                )

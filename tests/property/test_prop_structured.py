@@ -1,8 +1,6 @@
 """Property: ``evaluate()`` (structured, symbolically composed) equals the
 brute-force dense oracle for every operator class, across random
-compositions — series, parallel, feedback, scaled — and both eager
-backends.  Also: the numba backend name always resolves (falling back to
-numpy with a health event when numba is absent)."""
+compositions — series, parallel, feedback, scaled."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -96,15 +94,3 @@ class TestStructuredEquivalenceProperty:
         closed = FeedbackOperator(loop)
         assert closed.evaluate(s, order).kind == "rank_one"
         _assert_structured_matches_dense(closed, s, order, rtol=1e-11)
-
-    @given(op=operator_trees(depth=1), s=s_grids(), order=st.integers(0, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_numba_backend_name_matches_numpy(self, op, s, order):
-        """``backend="numba"`` must give the numpy answer whether or not
-        numba is installed (identical kernels, or graceful fallback)."""
-        clear_cache()
-        via_numba = np.asarray(op.evaluate(s, order, backend="numba").to_dense())
-        clear_cache()
-        via_numpy = np.asarray(op.evaluate(s, order, backend="numpy").to_dense())
-        scale = max(float(np.max(np.abs(via_numpy))), 1e-300)
-        assert np.allclose(via_numba, via_numpy, rtol=1e-12, atol=1e-12 * scale)

@@ -16,7 +16,7 @@ from repro.campaign import (
     ListSpace,
     run_campaign,
 )
-from repro.campaign.executor import _auto_batch_size, run_point_batch
+from repro.campaign.executor import _auto_batch_size
 
 MARKED = 0.75
 
@@ -87,11 +87,3 @@ class TestBatchedPoolSemantics:
         assert failed["params"]["x"] == MARKED
         assert failed["attempts"] == 2  # retried, then terminally failed
         assert failed["error"]["type"] == "RuntimeError"
-
-    def test_run_point_batch_one_record_per_payload(self):
-        payloads = [
-            (square_task, f"p{i}", {"x": float(i)}, None, 1) for i in range(3)
-        ]
-        records = run_point_batch(payloads)
-        assert [r["id"] for r in records] == ["p0", "p1", "p2"]
-        assert [r["metrics"]["square"] for r in records] == [0.0, 1.0, 4.0]

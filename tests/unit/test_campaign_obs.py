@@ -116,7 +116,7 @@ def test_two_worker_store_snapshot_covers_every_point(tmp_path, capsys):
         defaults={"points": 100},
     )
     store_path = tmp_path / "run.jsonl"
-    result = run_campaign(spec, store_path, workers=2, batch_size=2, vectorize=False)
+    result = run_campaign(spec, store_path, workers=2, batch_size=2)
     assert result.telemetry.processed == 20
 
     from repro.obs.report import load_snapshot

@@ -269,6 +269,23 @@ class TestPartialFractions:
         direct, terms = RationalFunction([0.0], [1.0, 1.0]).partial_fractions()
         assert np.allclose(direct, [0.0]) and terms == []
 
+    def test_denominator_rooted_once_per_expansion(self, monkeypatch):
+        # The tolerance ladder clusters and probes the same poles four
+        # times over; the denominator is rooted once.
+        calls = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(1) or roots(p))
+        wz, wp = 0.25, 4.0
+        rf = RationalFunction([1.0 / wz, 1.0], [1.0 / wp, 1.0, 0.0, 0.0])
+        rf.partial_fractions()
+        assert len(calls) == 1
+
+    def test_poles_returns_a_fresh_copy(self):
+        rf = RationalFunction.from_zpk([], [-1.0, -2.0])
+        first = rf.poles()
+        first[:] = 0.0
+        assert np.allclose(np.sort(rf.poles().real), [-2.0, -1.0])
+
     def test_pole_multiplicities_clusters(self):
         rf = RationalFunction([1.0], np.polymul([1.0, 1.0 + 1e-9], [1.0, 1.0]))
         groups = rf.pole_multiplicities(tol=1e-6)

@@ -52,10 +52,31 @@ class TestSweep:
         pm_eff = result.metric("pm_eff")
         assert pm_eff[0] > pm_eff[1]
         assert np.isnan(pm_eff[2])  # no unity crossing at 0.3 -> NaN, not crash
+        # The three margin metrics share one compare_margins: all NaN together.
+        assert np.isnan(result.metric("pm_lti")[2])
+        assert np.isnan(result.metric("bandwidth_extension")[2])
         dom = result.metric("dominant_pole_real")
         assert dom[0] < 0 and dom[1] < 0 and dom[2] > 0  # instability visible
         mod = result.metric("modulus_margin")
         assert mod[0] > mod[1] > mod[2]
+
+    def test_standard_metrics_measure_margins_once_per_design(self, monkeypatch):
+        from repro.pll import margins
+
+        designs = []
+        compare = margins.compare_margins
+
+        def counting(pll, *args, **kwargs):
+            designs.append(pll)
+            return compare(pll, *args, **kwargs)
+
+        monkeypatch.setattr(margins, "compare_margins", counting)
+        metrics = standard_metrics()
+        for ratio in (0.05, 0.15):
+            pll = designer(ratio)
+            for name in ("pm_lti", "pm_eff", "bandwidth_extension"):
+                metrics[name](pll)
+        assert len(designs) == 2
 
     def test_csv_export_with_campaign_metadata(self, tmp_path):
         result = sweep("ratio", [0.05, 0.1], designer, {"m": lambda p: 3.0})

@@ -1,9 +1,13 @@
-"""Ablation A1: closed-form coth aliasing sum vs symmetric truncation.
+"""Ablation A1: the closed-form aliasing sum vs symmetric truncation.
 
-Design question (DESIGN.md): is the partial-fraction + coth machinery worth
-it over just truncating ``sum_m A(s + j m w0)``?  Answer: the truncated sum
-needs thousands of terms to reach 1e-4 absolute accuracy (O(1/M) tail) while
-the closed form is exact and ~100x faster at that accuracy.
+Design question (DESIGN.md): is the closed form — partial fractions, each
+summed over all ``m`` into a pole group of ``z = e^{sT}`` — worth it over
+just truncating ``sum_m A(s + j m w0)``?  Answer: the truncated sum needs
+thousands of terms to reach 1e-4 absolute accuracy (O(1/M) tail) while the
+closed form is exact and ~100x faster at that accuracy.
+
+CI runs this file with ``--benchmark-disable``: the accuracy ladder then
+checks the closed form against the truncated sum on every push.
 """
 
 import numpy as np

@@ -12,7 +12,10 @@ A structural identity links the baselines to the paper's method: the
 effective open-loop gain satisfies ``lambda(s) = G_z(e^{sT})`` where ``G_z``
 is the impulse-invariant z-domain open-loop gain — the HTM model contains
 the z-domain model as its restriction to ``z = e^{sT}``, while additionally
-describing inter-sample and frequency-conversion behaviour.
+describing inter-sample and frequency-conversion behaviour.  The library
+builds ``G_z`` once, as the z form of ``lambda``
+(:func:`repro.pll.openloop.effective_gain_sum`), and the z-domain baseline
+returns it.
 """
 
 from repro.baselines.lti_approx import ClassicalLTIAnalysis

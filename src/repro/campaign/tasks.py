@@ -180,9 +180,9 @@ def stability_cell_task(params: dict[str, Any]) -> dict[str, float]:
     from repro.pll.margins import effective_margin
 
     pll = design_from_params(params)
-    # One G_z gives both the closed-loop z-poles and the effective margin.
-    sampled = sampled_open_loop(pll)
-    poles = closed_loop_z(sampled).poles()
+    # The loop's one expansion (memoized) gives both the closed-loop z-poles
+    # and the effective margin.
+    poles = closed_loop_z(sampled_open_loop(pll)).poles()
     radius = float(np.max(np.abs(poles))) if poles.size else 0.0
     out = {
         "z_stable": 1.0 if radius < 1.0 else 0.0,
@@ -195,7 +195,7 @@ def stability_cell_task(params: dict[str, Any]) -> dict[str, float]:
         _nan_safe(
             {
                 "phase_margin_eff_deg": lambda p: effective_margin(
-                    p, points=int(params.get("points", 2000)), sampled=sampled
+                    p, points=int(params.get("points", 2000))
                 )[1],
             },
             pll,

@@ -1178,12 +1178,13 @@ def _report(args) -> int:
         print(f"effective margins: not measurable ({exc})")
 
     cz = closed_loop_z(sampled_open_loop(base))
-    poles = np.sort_complex(cz.poles())
-    print(f"z-domain closed-loop poles: {np.round(poles, 4)}")
+    # Rounded before sorting, so round-off in a conjugate pair's real parts
+    # cannot change the printed order.
+    print(f"z-domain closed-loop poles: {np.sort_complex(np.round(cz.poles(), 4))}")
     print(f"z-domain stable: {cz.is_stable()}")
 
     flo = floquet_multipliers(base)
-    print(f"Floquet multipliers:        {np.round(np.sort_complex(flo.multipliers), 4)}")
+    print(f"Floquet multipliers:        {np.sort_complex(np.round(flo.multipliers, 4))}")
     print(
         f"Floquet stable: {flo.is_stable} "
         f"(spectral radius {flo.spectral_radius:.4f})"

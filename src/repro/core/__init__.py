@@ -17,7 +17,7 @@ output (Fig. 2).  This package provides:
   turns the infinite-matrix loop inversion into scalar arithmetic
   (paper eqs. 29–34);
 * :mod:`~repro.core.aliasing` — exact closed forms for the aliasing sums
-  ``sum_m F(s + j m w0)`` via coth identities (paper eq. 37);
+  ``sum_m F(s + j m w0)`` as pole groups of ``z = e^{sT}`` (paper eq. 37);
 * :mod:`~repro.core.sweep` / :mod:`~repro.core.truncation` — frequency
   sweeps, band-transfer maps and automatic truncation-order selection.
 """

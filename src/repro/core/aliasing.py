@@ -24,17 +24,27 @@ This reproduces the known special cases ``S_2 = c^2 csch^2`` and
 ``S_3 = c^3 coth csch^2`` and extends to any pole multiplicity — needed
 because the paper's loop gain has a double pole at DC.
 
+With ``z = e^{sT}`` and ``a = e^{pT}``, ``y = (z + a) / (z - a)``, so each
+term is a pole group ``num(z) / (z - a)^j`` and the whole sum is a rational
+function ``G(z)`` with ``lambda(s) = G(e^{sT})`` — the z-domain model of the
+paper's refs [3, 5].  :class:`AliasedSum` holds the sum in that form: terms
+whose poles lie a multiple of ``j w0`` apart share one ``a`` and one group,
+and for a relative-degree-1 ``F`` the groups carry the principal-value
+constant ``(T/2) sum r``.  :func:`elementary_alias_sum` evaluates the coth
+form directly; it is the test oracle.
+
 The truncated fallback :func:`truncated_alias_sum` uses symmetric ±m pairing
 so that relative-degree-1 functions still converge (quadratically).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +53,7 @@ from repro._validation import check_order, check_positive
 from repro.core.grid import as_omega_grid
 from repro.lti.rational import PartialFractionTerm, RationalFunction
 from repro.lti.transfer import TransferFunction
+from repro.lti.ztransfer import PoleGroup, ZTransferFunction
 from repro.obs import health
 from repro.obs import spans as _obs
 
@@ -74,14 +85,13 @@ def _alias_poly(order: int) -> tuple[float, ...]:
     ``p_1 = y``; ``p_{j+1} = (1 - y^2) * dp_j/dy``.  Cached because orders
     repeat across partial-fraction terms.
     """
-    coeffs = np.array([0.0, 1.0])  # p_1(y) = y
+    coeffs = [0.0, 1.0]  # p_1(y) = y
     for _ in range(order - 1):
-        deriv = np.polynomial.polynomial.polyder(coeffs)
-        # (1 - y^2) * deriv
-        coeffs = np.polynomial.polynomial.polymul(np.array([1.0, 0.0, -1.0]), deriv)
-        if coeffs.size == 0:
-            coeffs = np.array([0.0])
-    return tuple(float(c) for c in coeffs)
+        deriv = [power * c for power, c in enumerate(coeffs)][1:]
+        # (1 - y^2) * deriv, in plain floats: numpy.polynomial is a large
+        # import that the hot paths of a campaign worker otherwise never pay.
+        coeffs = [a - b for a, b in zip(deriv + [0.0, 0.0], [0.0, 0.0] + deriv)]
+    return tuple(coeffs)
 
 
 def elementary_alias_sum(x: complex | np.ndarray, omega0: float, order: int = 1):
@@ -103,6 +113,54 @@ def elementary_alias_sum(x: complex | np.ndarray, omega0: float, order: int = 1)
     return result
 
 
+#: Terms whose ``a`` agree this closely (relative) share one pole group:
+#: s-poles ``j k w0`` apart (an LPTV VCO's ISF harmonics put several on
+#: ``z = 1``) and one filter pole expanded once per ISF harmonic.
+_SAME_POLE_TOL = 1e-9
+
+
+def _pole_groups(terms: Sequence[PartialFractionTerm], period: float) -> list[PoleGroup]:
+    """The terms ``r S_j(s - p)`` as one group ``num(z) / (z - a)^mu`` per ``a = e^{pT}``.
+
+    With ``y = (z + a) / (z - a)``, ``p_j(y) = sum_k q_k y^k`` has numerator
+    ``sum_k q_k (z + a)^k (z - a)^(j - k)`` over ``(z - a)^j``; a term below
+    its group's order ``mu`` takes ``mu - j`` more factors ``(z - a)``.
+    """
+    clusters: list[tuple[complex, list[PartialFractionTerm]]] = []
+    for term in terms:
+        a = cmath.exp(term.pole * period)
+        for pole, members in clusters:
+            if abs(pole - a) <= _SAME_POLE_TOL * (1.0 + abs(a)):
+                members.append(term)
+                break
+        else:
+            clusters.append((a, [term]))
+    c = period / 2.0
+    groups = []
+    for a, members in clusters:
+        order = max(term.order for term in members)
+        num = np.zeros(order + 1, dtype=complex)
+        for term in members:
+            j = term.order
+            scale = term.residue * (-1.0) ** (j - 1) * c**j / math.factorial(j - 1)
+            for k, q in enumerate(_alias_poly(j)):
+                if q:
+                    piece = np.array([scale * q])
+                    for root in [-a] * k + [a] * (order - k):
+                        piece = np.convolve(piece, [1.0, -root])
+                    num += piece
+        groups.append(PoleGroup(a, order, num))
+    return groups
+
+
+def _as_rational(system) -> RationalFunction:
+    if isinstance(system, TransferFunction):
+        return system.rational
+    if not isinstance(system, RationalFunction):
+        raise ValidationError(f"AliasedSum requires a rational system, got {type(system).__name__}")
+    return system
+
+
 # Content-keyed LRU of AliasedSum constructions (see AliasedSum.of).
 _OF_CACHE: "OrderedDict[tuple, AliasedSum]" = OrderedDict()
 _OF_CACHE_LOCK = threading.Lock()
@@ -112,8 +170,11 @@ _OF_CACHE_MAXSIZE = 128
 class AliasedSum:
     """Callable closed form of ``sum_m F(s + j m w0)`` for rational ``F``.
 
-    Build with :meth:`of`.  Evaluation is vectorized over ``s`` and exact up
-    to partial-fraction round-off; in particular it contains *all* alias
+    Build with :meth:`of`.  The sum is held as the pole groups of ``G(z)``
+    (attribute ``z``, a :class:`~repro.lti.ztransfer.ZTransferFunction`) and
+    evaluated at ``z = e^{sT}``; ``terms`` keeps the partial fractions of
+    ``F`` it was built from.  Evaluation is vectorized over ``s`` and exact
+    up to partial-fraction round-off; in particular it contains *all* alias
     terms, unlike any finite truncation.
 
     Raises
@@ -123,48 +184,53 @@ class AliasedSum:
         that does not roll off diverges.
     """
 
-    __slots__ = ("omega0", "terms", "source")
+    __slots__ = ("omega0", "terms", "z")
 
-    def __init__(self, omega0: float, terms: list[PartialFractionTerm], source: RationalFunction):
+    def __init__(self, omega0: float, terms: Sequence[PartialFractionTerm]):
         self.omega0 = check_positive("omega0", omega0)
         self.terms = list(terms)
-        self.source = source
+        period = 2.0 * math.pi / self.omega0
+        self.z = ZTransferFunction.from_groups(_pole_groups(self.terms, period), period)
 
     @classmethod
     def of(cls, system, omega0: float, cluster_tol: float | None = None) -> "AliasedSum":
         """Construct from a rational system (TransferFunction or RationalFunction).
 
-        Constructions are memoized on the *content* of the rational function
-        (coefficient bytes, ``omega0``, ``cluster_tol``): rebuilding the same
-        effective-gain decomposition — e.g. one
-        :class:`~repro.pll.closedloop.ClosedLoopHTM` per metric of a design
-        sweep — reuses the partial-fraction expansion instead of re-running
-        the tolerance ladder.  :class:`AliasedSum` instances are immutable,
-        so sharing them is safe.
+        ``system`` may also be a sequence of them; the result is the sum of
+        their aliasing sums (one summand per ISF harmonic of an LPTV VCO).
+
+        Constructions are memoized on the *content* of the rational functions
+        (coefficient bytes, ``omega0``, ``cluster_tol``): every caller that
+        asks for the same loop's sum — the closed-loop HTM, the margins, the
+        z-domain model, the pole search — shares one partial-fraction
+        expansion.  :class:`AliasedSum` instances are immutable, so sharing
+        them is safe.
         """
-        if isinstance(system, TransferFunction):
-            rational = system.rational
-        elif isinstance(system, RationalFunction):
-            rational = system
-        else:
-            raise ValidationError(
-                f"AliasedSum requires a rational system, got {type(system).__name__}"
-            )
-        key = (rational.num.tobytes(), rational.den.tobytes(), float(omega0), cluster_tol)
+        if not isinstance(system, (list, tuple)):
+            system = [system]
+        parts = [_as_rational(part) for part in system]
+        key = (
+            tuple((part.num.tobytes(), part.den.tobytes()) for part in parts),
+            float(omega0),
+            cluster_tol,
+        )
         with _OF_CACHE_LOCK:
             cached = _OF_CACHE.get(key)
             if cached is not None:
                 _OF_CACHE.move_to_end(key)
                 return cached
-        if not rational.is_strictly_proper() and not rational.is_zero():
-            raise ValidationError(
-                "aliasing sum diverges: the function must be strictly proper "
-                f"(relative degree {rational.relative_degree})"
-            )
-        direct, terms = rational.partial_fractions(tol=cluster_tol)
-        if np.any(np.abs(direct) > 0):
-            raise ValidationError("aliasing sum diverges: non-zero direct polynomial part")
-        result = cls(omega0, terms, rational)
+        terms: list[PartialFractionTerm] = []
+        for rational in parts:
+            if not rational.is_strictly_proper() and not rational.is_zero():
+                raise ValidationError(
+                    "aliasing sum diverges: the function must be strictly proper "
+                    f"(relative degree {rational.relative_degree})"
+                )
+            direct, part_terms = rational.partial_fractions(tol=cluster_tol)
+            if np.any(np.abs(direct) > 0):
+                raise ValidationError("aliasing sum diverges: non-zero direct polynomial part")
+            terms += part_terms
+        result = cls(omega0, terms)
         with _OF_CACHE_LOCK:
             _OF_CACHE[key] = result
             _OF_CACHE.move_to_end(key)
@@ -174,16 +240,7 @@ class AliasedSum:
 
     def __call__(self, s: complex | np.ndarray) -> complex | np.ndarray:
         """Evaluate the full aliasing sum at ``s`` (scalar or array)."""
-        s_arr = np.asarray(s, dtype=complex)
-        out = np.zeros(np.atleast_1d(s_arr).shape, dtype=complex)
-        flat_s = np.atleast_1d(s_arr)
-        for term in self.terms:
-            out += term.residue * elementary_alias_sum(
-                flat_s - term.pole, self.omega0, term.order
-            )
-        if s_arr.ndim == 0:
-            return complex(out[0])
-        return out
+        return self.z.at_s(s)
 
     def eval_jomega(self, omega) -> np.ndarray:
         """Evaluate on the imaginary axis (for Bode/margin tooling).
@@ -211,7 +268,7 @@ class AliasedSum:
             )
             for t in self.terms
         ]
-        return AliasedSum(self.omega0, new_terms, self.source)
+        return AliasedSum(self.omega0, new_terms)
 
     def is_periodic_check(self, s: complex, rtol: float = 1e-8) -> "health.CheckResult":
         """Verify the defining periodicity ``lambda(s + j w0) = lambda(s)``.

@@ -1,7 +1,7 @@
 """Figure 6: baseband closed-loop transfer ``|H00(j omega)|`` vs loop speed.
 
 For each ``omega_UG / omega_0`` ratio: the solid HTM curve (eq. 38 evaluated
-with the exact coth aliasing sums) on a dense normalised grid, plus
+with the exact closed-form aliasing sum) on a dense normalised grid, plus
 time-marching simulation marks at a handful of frequencies — the exact
 protocol of the paper's Fig. 6.  As the ratio grows, the effective bandwidth
 shifts right and the passband-edge peaking worsens.

@@ -2,13 +2,16 @@
 
 This subpackage provides the s-domain machinery the rest of the library is
 built on: rational functions, transfer functions, state-space models, Bode
-analysis (crossover frequencies, phase/gain margins) and stability tests.
+analysis (crossover frequencies, phase/gain margins) and stability tests,
+plus the z view of a sampled loop, pulse transfer functions
+(:mod:`repro.lti.ztransfer`).
 
 It is intentionally self-contained: the HTM core (:mod:`repro.core`) embeds
 LTI systems as diagonal harmonic transfer matrices, the closed-form aliasing
-sums (:mod:`repro.core.aliasing`) need partial-fraction expansions, and the
-behavioural simulator (:mod:`repro.simulator`) needs exact matrix-exponential
-stepping of state-space models.
+sums (:mod:`repro.core.aliasing`) need partial-fraction expansions and hold
+their result as a pulse transfer function, and the behavioural simulator
+(:mod:`repro.simulator`) needs exact matrix-exponential stepping of
+state-space models.
 """
 
 from repro.lti.rational import PartialFractionTerm, RationalFunction

@@ -212,7 +212,7 @@ def exact_margins(system, omega_min: float, omega_max: float) -> tuple[float, fl
     ``system`` gives the root form of its response: ``unity_gain_frequencies()``,
     ``log_gain(omega)``, ``phase_change(omega_a, omega_b)`` and
     ``eval_jomega``.  :class:`~repro.lti.rational.RationalFunction` gives it on
-    ``s = j omega``, :class:`~repro.baselines.zdomain.ZTransferFunction` on
+    ``s = j omega``, :class:`~repro.lti.ztransfer.ZTransferFunction` on
     ``z = e^{j omega T}``.  The result reproduces the scan of
     :func:`gain_crossover` (``which='last'``) and :func:`phase_margin`:
 

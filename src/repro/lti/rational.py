@@ -8,10 +8,10 @@ frequency scaling and partial-fraction expansion with repeated poles.
 The partial-fraction expansion is the piece the paper's closed-form
 "effective open-loop gain" computation rests on: the aliasing sum
 ``lambda(s) = sum_m A(s + j m w0)`` (paper eq. 37) is evaluated exactly by
-expanding ``A`` into terms ``r / (s - p)^j`` and summing each term with a
-coth/csch identity (see :mod:`repro.core.aliasing`).  Repeated poles matter
-because the paper's loop gain has a *double* pole at DC (two poles at the
-origin, Fig. 5).
+expanding ``A`` into terms ``r / (s - p)^j`` and summing each term over all
+``m`` into a pole group of ``z = e^{sT}`` (see :mod:`repro.core.aliasing`).
+Repeated poles matter because the paper's loop gain has a *double* pole at
+DC (two poles at the origin, Fig. 5).
 
 Coefficient convention: descending powers, as used by :func:`numpy.polyval`.
 Products are :func:`numpy.convolve`: it is :func:`numpy.polymul` without the

@@ -12,14 +12,17 @@ and the closed loop collapses to (eq. 34)
 
 ``lambda`` — the **effective open-loop gain** — is evaluated two ways:
 
-* ``method='closed'``: exactly, by recognising ``lambda`` as a finite sum of
-  aliasing sums ``sum_m B_k(s + j m w0)`` of rational functions
-  ``B_k(sig) = (w0/2pi) v_k H_LF(sig) / (sig + j k w0)`` and using the coth
-  closed forms of :mod:`repro.core.aliasing`.  For a time-invariant VCO this
-  reduces to the paper's ``lambda(s) = sum_m A(s + j m w0)`` (eq. 37).
+* ``method='closed'``: exactly, as the aliasing sum
+  ``sum_m sum_k B_k(s + j m w0)`` of the rational functions
+  ``B_k(sig) = (w0/2pi) v_k H_LF(sig) / (sig + j k w0)``, held in the z form
+  of :func:`~repro.pll.openloop.effective_gain_sum`.  For a time-invariant
+  VCO this is the paper's ``lambda(s) = sum_m A(s + j m w0)`` (eq. 37).  A
+  sampling offset rotates ``V_n`` and ``l_n`` by opposite phases, which
+  cancel in ``lambda``; with an LPTV VCO it also advances the ISF
+  (:func:`~repro.pll.openloop.isf_harmonics`), which the ``B_k`` carry.
 * ``method='truncated'``: by symmetric truncation of ``sum_n V_n(s)`` —
-  required when the loop contains a transport delay or a non-zero sampling
-  offset (irrational summands), and used by ablation A1.
+  required when the loop contains a transport delay or a sample-and-hold
+  PFD (irrational summands), and used by ablation A1 and as the oracle.
 """
 
 from __future__ import annotations
@@ -30,15 +33,13 @@ import numpy as np
 
 from repro._errors import ValidationError
 from repro._validation import check_order, ignore_backend
-from repro.core.aliasing import AliasedSum
 from repro.core.grid import FrequencyGrid, as_omega_grid, as_s_grid
 from repro.core.htm import HTM
 from repro.core.operators import FeedbackOperator
-from repro.lti.rational import RationalFunction
 from repro.obs import health
 from repro.obs import spans as obs
 from repro.pll.architecture import PLL
-from repro.pll.openloop import open_loop_operator
+from repro.pll.openloop import effective_gain_sum, isf_harmonics, open_loop_operator
 
 
 class ClosedLoopHTM:
@@ -49,9 +50,10 @@ class ClosedLoopHTM:
     pll:
         The PLL description.
     method:
-        ``'closed'`` (default) for the exact coth-based aliasing sums, or
-        ``'truncated'`` for symmetric finite sums.  Loops with transport
-        delay or sampling offset force ``'truncated'``.
+        ``'closed'`` (default) for the exact aliasing sum, or
+        ``'truncated'`` for symmetric finite sums.  ``'closed'`` raises
+        :class:`~repro._errors.ValidationError` for a loop with transport
+        delay or a sample-and-hold PFD; those need ``'truncated'``.
     harmonics:
         Truncation half-width M for ``method='truncated'``.
     backend:
@@ -73,40 +75,17 @@ class ClosedLoopHTM:
         self._hold = (
             pll.pfd.hold_transfer if isinstance(pll.pfd, SampleHoldPFD) else None
         )
-        needs_truncated = (
-            pll.has_delay or pll.pfd.sampling_offset != 0.0 or self._hold is not None
-        )
-        if method == "closed" and needs_truncated:
-            raise ValidationError(
-                "closed-form aliasing sums require a delay-free impulse-sampling "
-                "loop with zero sampling offset; use method='truncated'"
-            )
+        self._lambda = effective_gain_sum(pll) if method == "closed" else None
         self.pll = pll
         self.method = method
         self.harmonics = check_order("harmonics", harmonics, minimum=1)
         self._gain = pll.pfd.gain  # w0 / 2pi
         self._h_lf = pll.h_lf
-        self._isf = pll.vco.isf
+        self._harmonics = isf_harmonics(pll)
         self._delay = pll.delay
         self._offset = pll.pfd.sampling_offset
-        self._alias_sums: list[AliasedSum] = []
-        if method == "closed":
-            self._alias_sums = self._build_alias_sums()
 
     # -- construction helpers ---------------------------------------------------
-
-    def _build_alias_sums(self) -> list[AliasedSum]:
-        """One AliasedSum per non-zero ISF harmonic ``v_k``."""
-        omega0 = self.pll.omega0
-        sums = []
-        for k in range(-self._isf.order, self._isf.order + 1):
-            vk = self._isf.coefficient(k)
-            if vk == 0:
-                continue
-            shift_pole = RationalFunction([1.0], [1.0, 1j * k * omega0])
-            b_k = (self._gain * vk) * self._h_lf.rational * shift_pole
-            sums.append(AliasedSum.of(b_k, omega0))
-        return sums
 
     def _band_transfer(self, s: np.ndarray) -> np.ndarray:
         """``hold(s) * H_LF(s) * delay(s)`` — the scalar chain after the sampler."""
@@ -122,15 +101,13 @@ class ClosedLoopHTM:
     def vtilde_element(self, s: complex | np.ndarray, n: int) -> complex | np.ndarray:
         """Column element ``V_n(s)`` (vectorized over ``s``).
 
-        Includes the sampling-offset phase rotation when present.
+        A sampling offset ``t_off`` rotates it by ``e^{-j n w0 t_off}`` and
+        advances the ISF (:func:`~repro.pll.openloop.isf_harmonics`).
         """
         omega0 = self.pll.omega0
         s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
         total = np.zeros(s_arr.shape, dtype=complex)
-        for k in range(-self._isf.order, self._isf.order + 1):
-            vk = self._isf.coefficient(k)
-            if vk == 0:
-                continue
+        for k, vk in self._harmonics:
             total += vk * self._band_transfer(s_arr + 1j * (n - k) * omega0)
         total *= self._gain / (s_arr + 1j * n * omega0)
         if self._offset != 0.0:
@@ -169,17 +146,10 @@ class ClosedLoopHTM:
     def _vtilde_grid_impl(self, s_arr: np.ndarray, order: int) -> np.ndarray:
         omega0 = self.pll.omega0
         ns = np.arange(-order, order + 1)
-        ks = np.array(
-            [
-                k
-                for k in range(-self._isf.order, self._isf.order + 1)
-                if self._isf.coefficient(k) != 0
-            ],
-            dtype=int,
-        )
-        if ks.size == 0:
+        if not self._harmonics:
             return np.zeros((s_arr.size, ns.size), dtype=complex)
-        vks = np.array([self._isf.coefficient(int(k)) for k in ks], dtype=complex)
+        ks = np.array([k for k, _ in self._harmonics], dtype=int)
+        vks = np.array([vk for _, vk in self._harmonics], dtype=complex)
         # (L, N, nk): s + j (n - k) w0 for every grid point / harmonic / ISF term.
         shifts = ns[None, :, None] - ks[None, None, :]
         band = self._band_transfer(s_arr[:, None, None] + 1j * shifts * omega0)
@@ -245,14 +215,8 @@ class ClosedLoopHTM:
     def _effective_gain_impl(
         self, s: complex | np.ndarray
     ) -> complex | np.ndarray:
-        if self.method == "closed":
-            s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-            total = np.zeros(s_arr.shape, dtype=complex)
-            for alias in self._alias_sums:
-                total += np.asarray(alias(s_arr), dtype=complex)
-            if np.ndim(s) == 0:
-                return complex(total[0])
-            return total
+        if self._lambda is not None:
+            return self._lambda(s)
         return self._effective_gain_truncated(s)
 
     def _effective_gain_truncated(self, s: complex | np.ndarray) -> complex | np.ndarray:

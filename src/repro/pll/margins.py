@@ -15,20 +15,20 @@ produces the Fig. 7 series over a range of ``w_UG / w0``.
 
 Two paths compute the same numbers, and the loop picks one:
 
-* **Roots** (no grid): when ``lambda(s) = G_z(e^{sT})`` holds (impulse
-  sampling, time-invariant VCO, no delay, zero sampling offset, relative
-  degree >= 2, which covers every :func:`~repro.pll.design.design_typical_loop`
-  loop), each crossover is a root of a polynomial: of
-  ``|N(j omega)|^2 - |D(j omega)|^2`` for ``A``, and the unit-circle root of
-  the self-reciprocal ``N(z) z^n conj(N)(1/z) - D(z) z^n conj(D)(1/z)`` for
-  ``lambda``; the unwrapped phase comes from the zero and pole angles
+* **Roots** (no grid): every loop with the closed form
+  ``lambda(s) = G(e^{sT})`` of :func:`~repro.pll.openloop.effective_gain_sum`
+  (impulse-sampling PFD and no delay, :func:`~repro.pll.openloop.has_closed_form`;
+  any sampling offset, ISF or relative degree).  Each crossover is a root
+  of a polynomial: of ``|N(j omega)|^2 - |D(j omega)|^2`` for ``A``, and
+  the unit-circle root of the self-reciprocal
+  ``N(z) z^n conj(N)(1/z) - D(z) z^n conj(D)(1/z)`` for ``lambda``; the
+  unwrapped phase comes from the zero and pole angles
   (:func:`~repro.lti.bode.exact_margins`).
-* **Scan**: every other loop (sample-and-hold PFD, delay, sampling offset,
-  LPTV VCO, relative degree 1, ``method='truncated'``) samples ``points``
-  frequencies and refines the last crossing with Brent's method
-  (:func:`~repro.lti.bode.gain_crossover`, :func:`~repro.lti.bode.phase_margin`).
-  The scan is also the roots path's test oracle, and its fallback when the
-  roots cannot settle the answer.
+* **Scan**: the other loops (sample-and-hold PFD, delay) and
+  ``method='truncated'`` sample ``points`` frequencies and refine the last
+  crossing with Brent's method (:func:`~repro.lti.bode.gain_crossover`,
+  :func:`~repro.lti.bode.phase_margin`).  The scan is also the roots path's
+  test oracle, and its fallback when the roots cannot settle the answer.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ from repro.lti.bode import crossover_from_samples  # noqa: F401 - perfbench/trac
 from repro.lti.bode import exact_margins, gain_crossover, phase_margin
 from repro.pll.architecture import PLL
 from repro.pll.closedloop import ClosedLoopHTM
-from repro.pll.openloop import lti_open_loop, open_loop_callable
+from repro.pll.openloop import (
+    effective_gain_sum,
+    has_closed_form,
+    lti_open_loop,
+    open_loop_callable,
+)
 
 
 @dataclass(frozen=True)
@@ -87,20 +92,12 @@ class EffectiveMargins:
 def effective_open_loop(pll: PLL, **closed_loop_kwargs) -> Callable[[np.ndarray], np.ndarray]:
     """The effective gain ``lambda(j omega)`` as a margin-tool-ready callable.
 
-    Loops the coth closed form cannot express (sample-and-hold PFD, delay,
-    sampling offset) automatically fall back to the truncated sum.
+    Loops without the closed form (sample-and-hold PFD, delay) automatically
+    fall back to the truncated sum.
     """
-    if "method" not in closed_loop_kwargs:
-        from repro.blocks.pfd import SampleHoldPFD
-
-        needs_truncated = (
-            pll.has_delay
-            or pll.pfd.sampling_offset != 0.0
-            or isinstance(pll.pfd, SampleHoldPFD)
-        )
-        if needs_truncated:
-            closed_loop_kwargs["method"] = "truncated"
-            closed_loop_kwargs.setdefault("harmonics", 400)
+    if "method" not in closed_loop_kwargs and not has_closed_form(pll):
+        closed_loop_kwargs["method"] = "truncated"
+        closed_loop_kwargs.setdefault("harmonics", 400)
     closed = ClosedLoopHTM(pll, **closed_loop_kwargs)
     return closed.effective_gain_response
 
@@ -125,33 +122,14 @@ def _window(
     return omega_min_factor * omega0, omega_max_factor * omega0
 
 
-def _sampled_form(pll: PLL, closed_loop_kwargs: dict, sampled=None):
-    """``G_z`` when ``lambda(s) = G_z(e^{sT})`` holds, else ``None`` (the scan).
+def _sampled_form(pll: PLL, closed_loop_kwargs: dict):
+    """``G`` with ``lambda(s) = G(e^{sT})`` for the roots path, else ``None`` (the scan).
 
-    The identity takes an impulse-sampling PFD, a time-invariant VCO, no
-    delay, zero sampling offset and a loop gain of relative degree >= 2
-    (else ``g(0+)`` adds a half-sample term).  An explicit
-    ``method='truncated'`` keeps the scan.  ``G_z`` is ``sampled`` when the
-    caller built it already.
+    An explicit ``method='truncated'`` keeps the scan.
     """
-    from repro.blocks.pfd import SampleHoldPFD
-
-    if not (
-        closed_loop_kwargs.get("method", "closed") == "closed"
-        and not pll.has_delay
-        and pll.pfd.sampling_offset == 0.0
-        and not isinstance(pll.pfd, SampleHoldPFD)
-        and pll.vco.is_time_invariant()
-        and pll.vco.lti_transfer().rational.relative_degree
-        + pll.h_lf.rational.relative_degree
-        >= 2
-    ):
+    if closed_loop_kwargs.get("method", "closed") != "closed" or not has_closed_form(pll):
         return None
-    if sampled is None:
-        from repro.baselines.zdomain import sampled_open_loop
-
-        sampled = sampled_open_loop(pll)
-    return sampled
+    return effective_gain_sum(pll).z
 
 
 def _margin_pair(system, scan_response, w_lo: float, w_hi: float, points: int):
@@ -194,7 +172,7 @@ def compare_margins(
     to that grid's bounds (and a scan to its point count), overriding the
     factor arguments.  ``backend`` is deprecated and ignored.
 
-    Loops with ``lambda(s) = G_z(e^{sT})`` take both margins from polynomial
+    Loops with ``lambda(s) = G(e^{sT})`` take both margins from polynomial
     roots; the others scan ``points`` samples (see the module docstring).
     """
     ignore_backend(backend)
@@ -229,18 +207,16 @@ def effective_margin(
     omega_min_factor: float = 1e-3,
     omega_max_factor: float | None = None,
     points: int = 4000,
-    sampled=None,
     **closed_loop_kwargs,
 ) -> tuple[float, float]:
     """``(omega_ug_eff, phase_margin_eff_deg)``: the effective half of :func:`compare_margins`.
 
-    ``sampled`` passes the loop's ``G_z`` when the caller has built it
-    already (:func:`~repro.baselines.zdomain.sampled_open_loop`), so it is
-    built once; it is used only for a loop whose ``lambda`` it equals.
+    Unlike :func:`compare_margins` it needs no LTI ``A(s)``, so it also
+    measures loops with an LPTV VCO.
     """
     w_lo, w_hi = _window(pll.omega0, omega_min_factor, omega_max_factor)
     return _margin_pair(
-        _sampled_form(pll, closed_loop_kwargs, sampled),
+        _sampled_form(pll, closed_loop_kwargs),
         lambda: effective_open_loop(pll, **closed_loop_kwargs),
         w_lo,
         w_hi,

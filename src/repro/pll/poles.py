@@ -11,7 +11,10 @@ integration tests assert.
 Roots are found by Newton iteration with the *exact* derivative
 ``lambda'(s)`` (term-wise ``dS_j/dx = -j S_{j+1}``, see
 :meth:`repro.core.aliasing.AliasedSum.derivative`), seeded from the
-z-domain pole logarithms.
+logarithms of the closed-loop poles of ``lambda``'s own z form
+``G / (1 + G)``.  Both come from the one expansion of
+:func:`~repro.pll.openloop.effective_gain_sum`, so any loop with the closed
+form — an LPTV VCO or a sampling offset included — has its poles found.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from repro._errors import ConvergenceError, ValidationError
+from repro._errors import ConvergenceError
 from repro._validation import check_order, check_positive
 from repro.pll.architecture import PLL
-from repro.pll.closedloop import ClosedLoopHTM
+from repro.pll.openloop import effective_gain_sum
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def _newton_root(
         if slope == 0:
             raise ConvergenceError(f"Newton stalled at s = {s}: zero derivative")
         step = value / slope
-        # Damp wild steps: the coth landscape has poles between the roots.
+        # Damp wild steps: lambda has poles between the roots.
         if abs(step) > 1.0:
             step *= 1.0 / abs(step)
         s = s - step
@@ -94,38 +97,24 @@ def find_closed_loop_poles(
 ) -> list[ClosedLoopPole]:
     """Locate all fundamental-strip roots of ``1 + lambda(s) = 0``.
 
-    Seeds come from the z-domain closed-loop poles (``s = log(z)/T``), so
-    the count always matches the loop order; Newton with the analytic
-    ``lambda'`` then polishes each to ``tol``.
+    Seeds come from the closed-loop poles of ``lambda``'s z form
+    (``s = log(z)/T``), so the count always matches the loop order; Newton
+    with the analytic ``lambda'`` then polishes each to ``tol``.
 
-    Requires the closed-form path (delay-free, zero sampling offset, any
-    ISF handled by the per-harmonic aliasing sums).
+    Requires the closed form (:func:`~repro.pll.openloop.has_closed_form`:
+    impulse-sampling PFD, no delay).
     """
     check_positive("tol", tol)
     check_order("max_iter", max_iter, minimum=1)
-    closed = ClosedLoopHTM(pll, method="closed")
-    alias_sums = closed._alias_sums
-    derivatives = [a.derivative() for a in alias_sums]
+    from repro.baselines.zdomain import closed_loop_z
 
-    def lam(s: complex) -> complex:
-        return sum(a(s) for a in alias_sums)
-
-    def dlam(s: complex) -> complex:
-        return sum(d(s) for d in derivatives)
+    lam = effective_gain_sum(pll)
+    dlam = lam.derivative()
 
     def func(s: complex) -> complex:
         return 1.0 + lam(s)
 
-    from repro.baselines.zdomain import closed_loop_z, sampled_open_loop
-
-    try:
-        z_poles = closed_loop_z(sampled_open_loop(pll)).poles()
-    except ValidationError:
-        raise ValidationError(
-            "pole search currently seeds from the z-domain model; "
-            "loops it cannot express (LPTV VCO) need explicit seeds via "
-            "refine_pole"
-        ) from None
+    z_poles = closed_loop_z(lam.z).poles()
     period = pll.period
     omega0 = pll.omega0
     poles: list[ClosedLoopPole] = []
@@ -152,15 +141,9 @@ def refine_pole(
     pll: PLL, seed: complex, tol: float = 1e-10, max_iter: int = 80
 ) -> ClosedLoopPole:
     """Polish a single root of ``1 + lambda(s)`` from a user-supplied seed."""
-    closed = ClosedLoopHTM(pll, method="closed")
-    alias_sums = closed._alias_sums
-    derivatives = [a.derivative() for a in alias_sums]
+    lam = effective_gain_sum(pll)
     s_root, residual = _newton_root(
-        lambda s: 1.0 + sum(a(s) for a in alias_sums),
-        lambda s: sum(d(s) for d in derivatives),
-        seed,
-        tol,
-        max_iter,
+        lambda s: 1.0 + lam(s), lam.derivative(), seed, tol, max_iter
     )
     return ClosedLoopPole(
         s=s_root, multiplier=cmath.exp(s_root * pll.period), residual=residual

@@ -7,7 +7,9 @@ trees in the Laplace symbol ``s``:
   (paper eq. 35);
 * :func:`effective_gain_expression` — ``lambda(s)`` as the *finite* sum of
   coth terms obtained by applying the elementary aliasing identities to the
-  partial fractions of ``A`` (the symbolic counterpart of eq. 37)::
+  partial fractions of the numeric closed form
+  (:func:`~repro.pll.openloop.effective_gain_sum`; the symbolic counterpart
+  of eq. 37)::
 
       sum_m 1/(s - p + j m w0)^k
         = (-1)^(k-1) c^k / (k-1)! * P_k(coth(c (s - p))),   c = T/2
@@ -25,11 +27,10 @@ import math
 
 import numpy as np
 
-from repro._errors import ValidationError
 from repro.core.aliasing import _alias_poly
 from repro.lti.rational import RationalFunction
 from repro.pll.architecture import PLL
-from repro.pll.openloop import lti_open_loop
+from repro.pll.openloop import effective_gain_sum, isf_harmonics, lti_open_loop
 from repro.symbolic.expr import Add, Expr, Mul, Num, Sym, coth_of, polynomial_in
 
 S = Sym("s")
@@ -60,9 +61,10 @@ def _elementary_sum_expression(pole: complex, order: int, omega0: float) -> Expr
 def effective_gain_expression(pll: PLL, round_tol: float = 1e-10) -> Expr:
     """Symbolic ``lambda(s)`` — the closed-form aliasing sum of eq. (37).
 
-    Requires a delay-free loop with zero sampling offset (same condition as
-    the numeric closed form).  Supports LPTV ISFs through one aliasing sum
-    per ISF harmonic.
+    Takes its ``(residue, pole, order)`` terms from the numeric closed form,
+    so it applies to the same loops (impulse-sampling PFD, no delay; any
+    sampling offset) and supports LPTV ISFs through one summand per ISF
+    harmonic.
 
     Parameters
     ----------
@@ -70,35 +72,17 @@ def effective_gain_expression(pll: PLL, round_tol: float = 1e-10) -> Expr:
         Residues with magnitude below ``round_tol`` times the largest are
         dropped to keep the expression readable.
     """
-    if pll.has_delay or pll.pfd.sampling_offset != 0.0:
-        raise ValidationError(
-            "symbolic closed form requires a delay-free loop with zero sampling offset"
-        )
-    omega0 = pll.omega0
-    gain = pll.pfd.gain
-    isf = pll.vco.isf
-    h_lf = pll.h_lf.rational
-    terms: list[Expr] = []
-    all_residues: list[complex] = []
-    pieces: list[tuple[complex, complex, int]] = []  # (residue, pole, order)
-    for k in range(-isf.order, isf.order + 1):
-        vk = isf.coefficient(k)
-        if vk == 0:
-            continue
-        shift_pole = RationalFunction([1.0], [1.0, 1j * k * omega0])
-        b_k = (gain * vk) * h_lf * shift_pole
-        _, pf_terms = b_k.partial_fractions()
-        for term in pf_terms:
-            pieces.append((term.residue, term.pole, term.order))
-            all_residues.append(term.residue)
-    if not pieces:
+    terms = effective_gain_sum(pll).terms
+    if not terms:
         return Num(0.0)
-    scale = max(abs(r) for r in all_residues)
-    for residue, pole, order in pieces:
-        if abs(residue) < round_tol * scale:
-            continue
-        terms.append(Mul.of(Num(residue), _elementary_sum_expression(pole, order, omega0)))
-    return Add.of(*terms)
+    scale = max(abs(t.residue) for t in terms)
+    return Add.of(
+        *(
+            Mul.of(Num(t.residue), _elementary_sum_expression(t.pole, t.order, pll.omega0))
+            for t in terms
+            if abs(t.residue) >= round_tol * scale
+        )
+    )
 
 
 def h00_expression(pll: PLL) -> Expr:
@@ -116,15 +100,12 @@ def h00_expression(pll: PLL) -> Expr:
 
 
 def _vtilde0_expression(pll: PLL) -> Expr:
-    """Symbolic ``V_0(s) = (w0/2pi) sum_k v_k H_LF(s - j k w0) / s``."""
+    """Symbolic ``V_0(s) = (w0/2pi) sum_k v_k H_LF(s - j k w0) / s`` (``v_k`` of
+    :func:`~repro.pll.openloop.isf_harmonics`)."""
     omega0 = pll.omega0
-    isf = pll.vco.isf
     h_lf = pll.h_lf.rational
     terms: list[Expr] = []
-    for k in range(-isf.order, isf.order + 1):
-        vk = isf.coefficient(k)
-        if vk == 0:
-            continue
+    for k, vk in isf_harmonics(pll):
         shifted = h_lf.shifted(-1j * k * omega0)
         terms.append(Mul.of(Num(vk), _rational_expression(shifted)))
     total = Add.of(*terms) if terms else Num(0.0)

@@ -1,10 +1,13 @@
-"""Integration: closed-loop poles agree across three independent routes.
+"""Integration: closed-loop poles agree across three routes.
 
 1. **s-domain**: Newton roots of the characteristic function
-   ``1 + lambda(s) = 0`` with exact coth derivatives (the HTM route);
+   ``1 + lambda(s) = 0`` with the exact derivative (the HTM route);
 2. **z-domain**: poles of the impulse-invariant ``G_z/(1 + G_z)``;
 3. **Floquet**: eigenvalues of the numerically-linearised one-cycle return
    map of the *nonlinear event-driven engine*.
+
+Routes 1 and 2 share the loop's one expansion (route 1 seeds from route 2);
+route 3 is independent of both, and covers LPTV VCOs too.
 
 And a fourth, fully physical check: the measured decay rate of a transient
 in the behavioural simulator matches the dominant pole's damping constant.
@@ -14,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.zdomain import closed_loop_z, sampled_open_loop
+from repro.blocks.vco import VCO
+from repro.pll.architecture import PLL
 from repro.pll.design import design_typical_loop
 from repro.pll.poles import dominant_pole, find_closed_loop_poles
 from repro.simulator.engine import BehavioralPLLSimulator, SimulationConfig
+from repro.signals.isf import ImpulseSensitivity
 from repro.simulator.floquet import floquet_multipliers
 
 W0 = 2 * np.pi
@@ -43,6 +49,24 @@ class TestThreeWayIdentity:
         )
         flo = np.sort_complex(floquet_multipliers(pll).multipliers)
         assert np.allclose(s_mult, flo, atol=2e-3)
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.1])
+def test_lptv_s_domain_vs_floquet(ratio):
+    """The pole search takes an LPTV VCO (its ISF harmonics share z = 1)."""
+    base = designer(ratio)
+    isf = ImpulseSensitivity.sinusoidal(base.vco.isf.coefficient(0).real, 0.4, W0, phase=0.7)
+    pll = PLL(
+        pfd=base.pfd,
+        charge_pump=base.charge_pump,
+        filter_impedance=base.filter_impedance,
+        vco=VCO(isf),
+    )
+    poles = find_closed_loop_poles(pll)
+    assert all(p.residual < 1e-9 for p in poles)
+    s_mult = np.sort_complex(np.array([p.multiplier for p in poles]))
+    flo = np.sort_complex(floquet_multipliers(pll).multipliers)
+    assert np.allclose(s_mult, flo, atol=2e-3)
 
 
 class TestPhysicalDecayRate:

@@ -1,5 +1,7 @@
 """Property-based tests: aliasing-sum identities and exact state stepping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,52 @@ def stable_strictly_proper(draw):
     return RationalFunction.from_zpk(zeros, poles, gain)
 
 
+#: Candidate poles at least ``w0/4`` apart, none ``j k w0`` from another.
+POLE_LATTICE = [
+    complex(-0.05 - 0.25 * i, k / 3) * W0 for i in range(3) for k in range(-1, 2)
+] + [0j]
+
+
+@st.composite
+def multiple_pole_rational(draw):
+    """Strictly proper ``F`` of relative degree 1-4, poles of multiplicity 1-5 (DC too).
+
+    Simple poles at ``±j w0`` share ``z = 1`` with DC, as an LPTV VCO's
+    ISF harmonics do.
+    """
+    picks = draw(st.lists(st.sampled_from(POLE_LATTICE), min_size=1, max_size=3, unique=True))
+    poles = [p for p in picks for _ in range(draw(st.integers(1, 5)))]
+    poles += draw(st.sampled_from([[], [1j * W0], [-1j * W0, 1j * W0]]))
+    relative_degree = min(draw(st.integers(1, 4)), len(poles))
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+    num = [complex(draw(st.floats(0.5, 2.0)), draw(coefficient))] + [
+        complex(draw(coefficient), draw(coefficient))
+        for _ in range(len(poles) - relative_degree)
+    ]
+    return RationalFunction(num, np.poly(poles))
+
+
 class TestAliasingProperties:
+    @given(
+        f=multiple_pole_rational(),
+        re=st.floats(0.02, 0.2),
+        sign=st.sampled_from([-1.0, 1.0]),
+        im=st.floats(-0.5, 0.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_z_form_matches_coth_terms(self, f, re, sign, im):
+        """The pole-group form of each term, merged over shared ``a``, sums
+        to the coth closed form of the same partial fractions.  The bound is
+        relative to the terms' magnitudes: residues of nearby multiple poles
+        cancel, and neither form is then accurate relative to the sum.  The
+        cluster tolerance groups each multiple root's perturbed copies."""
+        alias = AliasedSum.of(f, W0, cluster_tol=0.05)
+        s = complex(sign * re, im) * W0
+        parts = [t.residue * elementary_alias_sum(s - t.pole, W0, t.order) for t in alias.terms]
+        scale = math.fsum(abs(part) for part in parts)
+        assert abs(alias(s) - sum(parts)) <= 1e-12 * scale
+
+
     @given(f=stable_strictly_proper(), w=st.floats(0.02, 0.48))
     @settings(max_examples=30, deadline=None)
     def test_closed_form_matches_truncation(self, f, w):

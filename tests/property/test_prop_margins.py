@@ -6,7 +6,10 @@ scan, built from public pieces (``effective_open_loop``,
 ``open_loop_callable``, ``gain_crossover``, ``phase_margin``) over the same
 window: all four fields agree to 1e-10 relative (a phase margin within 1
 degree of 0 to 1e-10 degrees), and both raise ``ConvergenceError`` for the
-same loops.
+same loops.  For loops with a sampling offset, a relative-degree-1 filter or
+an LPTV VCO the scan runs over the coth form of ``lambda``
+(``elementary_alias_sum`` of the loop's partial fractions), which shares no
+code with the pole groups ``effective_open_loop`` evaluates.
 """
 
 import dataclasses
@@ -20,34 +23,61 @@ from hypothesis import strategies as st
 from repro._errors import ConvergenceError
 from repro.blocks.chargepump import ChargePump
 from repro.blocks.delay import LoopDelay
-from repro.blocks.loopfilter import ThirdOrderFilter
+from repro.blocks.loopfilter import SeriesRCFilter, ThirdOrderFilter
 from repro.blocks.pfd import SampleHoldPFD, SamplingPFD
 from repro.blocks.vco import VCO
+from repro.core.aliasing import elementary_alias_sum
 from repro.lti.bode import gain_crossover, phase_margin
+from repro.lti.rational import RationalFunction
 from repro.pll import margins
 from repro.pll.architecture import PLL
 from repro.pll.design import design_typical_loop
-from repro.pll.margins import compare_margins, effective_open_loop
+from repro.pll.margins import compare_margins, effective_margin, effective_open_loop
 from repro.pll.openloop import open_loop_callable
+from repro.signals.isf import ImpulseSensitivity
 
 W0 = 2 * np.pi
 POINTS = 4000
 RTOL = 1e-10
 
 
-def scan_oracle(pll: PLL, points: int = POINTS) -> list[float]:
-    """``[w_ug_lti, pm_lti, w_ug_eff, pm_eff]`` by the grid scan."""
+def scan(response, pll: PLL, points: int = POINTS) -> list[float]:
+    """``[w_ug, pm]`` of one response by the grid scan."""
     w_lo, w_hi = 1e-3 * pll.omega0, 0.499 * pll.omega0
+    w_ug = gain_crossover(response, w_lo, w_hi, points)
+    return [w_ug, phase_margin(response, w_lo, w_hi, points, w_ug=w_ug)]
+
+
+def scan_oracle(pll: PLL, points: int = POINTS, lam=None) -> list[float]:
+    """``[w_ug_lti, pm_lti, w_ug_eff, pm_eff]`` by the grid scan (of ``lam`` for lambda)."""
     a_fn = open_loop_callable(pll)
 
     def a(omega):
         return np.asarray(a_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
 
-    out = []
-    for response in (a, effective_open_loop(pll)):
-        w_ug = gain_crossover(response, w_lo, w_hi, points)
-        out += [w_ug, phase_margin(response, w_lo, w_hi, points, w_ug=w_ug)]
-    return out
+    return scan(a, pll, points) + scan(lam or effective_open_loop(pll), pll, points)
+
+
+def coth_lambda(pll: PLL):
+    """``lambda(j omega)`` from the coth closed form, summed per partial fraction.
+
+    A sampling offset ``t_off`` advances ISF harmonic ``k`` by
+    ``e^{j k w0 t_off}``.
+    """
+    omega0, isf = pll.omega0, pll.vco.isf
+    terms = []
+    for k in range(-isf.order, isf.order + 1):
+        if isf.coefficient(k) != 0:
+            vk = isf.coefficient(k) * np.exp(1j * k * omega0 * pll.pfd.sampling_offset)
+            shift = RationalFunction([1.0], [1.0, 1j * k * omega0])
+            summand = (pll.pfd.gain * vk) * pll.h_lf.rational * shift
+            terms += summand.partial_fractions()[1]
+
+    def response(omega):
+        s = 1j * np.asarray(omega, dtype=float)
+        return sum(t.residue * elementary_alias_sum(s - t.pole, omega0, t.order) for t in terms)
+
+    return response
 
 
 def margins_by_roots(pll: PLL, points: int = POINTS) -> list[float]:
@@ -62,11 +92,12 @@ def outcome(fn, pll):
         return None
 
 
-def assert_agree(pll: PLL) -> None:
-    got, want = outcome(margins_by_roots, pll), outcome(scan_oracle, pll)
+def assert_agree(pll: PLL, roots=margins_by_roots, oracle=scan_oracle) -> None:
+    got, want = outcome(roots, pll), outcome(oracle, pll)
     assert (got is None) == (want is None), (got, want)
     if got is not None:
-        for name, g, w in zip(("w_ug_lti", "pm_lti", "w_ug_eff", "pm_eff"), got, want):
+        names = ("w_ug_lti", "pm_lti", "w_ug_eff", "pm_eff")[-len(got) :]
+        for name, g, w in zip(names, got, want):
             # A margin near 0 degrees gets a 1e-10-degree floor: a relative
             # bound means nothing there.
             scale = max(abs(w), 1.0) if name.startswith("pm") else abs(w)
@@ -125,6 +156,54 @@ def third_order_loops(draw) -> PLL:
     )
 
 
+@st.composite
+def offset_loops(draw) -> PLL:
+    offset = draw(st.floats(min_value=0.0, max_value=0.95))
+    return dataclasses.replace(draw(typical_loops()), pfd=SamplingPFD(W0, sampling_offset=offset))
+
+
+@st.composite
+def relative_degree_one_loops(draw) -> PLL:
+    """Series R-C filter: ``A(s) ~ K R / s`` at high frequency."""
+    omega_c = draw(st.floats(min_value=0.01, max_value=0.3)) * W0
+    separation = draw(st.floats(min_value=1.5, max_value=12.0))
+    icp = draw(st.floats(min_value=1e-4, max_value=1e-2))
+    kv = draw(st.floats(min_value=0.1, max_value=10.0))
+    # |A(j omega_c)| = 1 with the zero at omega_c / separation.
+    capacitance = (W0 / (2 * math.pi)) * kv * icp * math.hypot(1.0, separation) / omega_c**2
+    resistance = separation / (omega_c * capacitance)
+    return PLL(
+        pfd=SamplingPFD(W0),
+        charge_pump=ChargePump(icp),
+        filter_impedance=SeriesRCFilter(resistance, capacitance).impedance(),
+        vco=VCO.time_invariant(kv, W0),
+    )
+
+
+@st.composite
+def lptv_loops(draw) -> PLL:
+    base = draw(offset_loops())
+    isf = ImpulseSensitivity.sinusoidal(
+        base.vco.isf.coefficient(0).real,
+        draw(st.floats(min_value=0.0, max_value=0.7)),
+        W0,
+        phase=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
+    )
+    return dataclasses.replace(base, vco=VCO(isf))
+
+
+def coth_scan_oracle(pll: PLL) -> list[float]:
+    return scan_oracle(pll, lam=coth_lambda(pll))
+
+
+def effective_by_roots(pll: PLL) -> list[float]:
+    return list(effective_margin(pll, points=POINTS))
+
+
+def effective_coth_scan(pll: PLL) -> list[float]:
+    return scan(coth_lambda(pll), pll)
+
+
 class TestRootsMatchScan:
     @given(pll=typical_loops())
     @settings(max_examples=40, deadline=None)
@@ -135,6 +214,21 @@ class TestRootsMatchScan:
     @settings(max_examples=40, deadline=None)
     def test_third_order_loops(self, pll):
         assert_agree(pll)
+
+    @given(pll=offset_loops())
+    @settings(max_examples=25, deadline=None)
+    def test_sampling_offset_loops(self, pll):
+        assert_agree(pll, oracle=coth_scan_oracle)
+
+    @given(pll=relative_degree_one_loops())
+    @settings(max_examples=25, deadline=None)
+    def test_relative_degree_one_loops(self, pll):
+        assert_agree(pll, oracle=coth_scan_oracle)
+
+    @given(pll=lptv_loops())
+    @settings(max_examples=25, deadline=None)
+    def test_lptv_loops(self, pll):
+        assert_agree(pll, roots=effective_by_roots, oracle=effective_coth_scan)
 
 
 @pytest.mark.parametrize(
@@ -151,6 +245,13 @@ class TestRootsMatchScan:
 def test_hard_impulse_loops_take_the_roots(pll, scans):
     assert_agree(pll)
     assert scans == []
+
+
+def test_offset_loop_takes_the_roots(scans):
+    base = design_typical_loop(omega0=W0, omega_ug=0.1 * W0)
+    shifted = compare_margins(dataclasses.replace(base, pfd=SamplingPFD(W0, sampling_offset=0.2)))
+    assert scans == []
+    assert shifted == compare_margins(base)
 
 
 def test_sample_and_hold_and_delayed_loops_take_the_scan(scans):

@@ -190,3 +190,33 @@ class TestTruncatedAliasSum:
         s = 1j * np.array([0.1, 0.2])
         out = truncated_alias_sum(f, s, W0, 100)
         assert out.shape == (2,)
+
+
+def test_one_expansion_per_design(monkeypatch):
+    """The closed-loop HTM, the z-domain model, the margins and the pole
+    search of one design share a single partial-fraction expansion."""
+    from collections import OrderedDict
+
+    from repro.baselines.zdomain import sampled_open_loop
+    from repro.core import aliasing
+    from repro.pll.closedloop import ClosedLoopHTM
+    from repro.pll.design import design_typical_loop
+    from repro.pll.margins import compare_margins
+    from repro.pll.poles import find_closed_loop_poles
+
+    monkeypatch.setattr(aliasing, "_OF_CACHE", OrderedDict())
+    expanded = []
+    expand = RationalFunction.partial_fractions
+
+    def counted(self, tol=None):
+        if tol not in self._pf_cache:
+            expanded.append(self)
+        return expand(self, tol)
+
+    monkeypatch.setattr(RationalFunction, "partial_fractions", counted)
+    pll = design_typical_loop(omega0=W0, omega_ug=0.1 * W0)
+    ClosedLoopHTM(pll)
+    sampled_open_loop(pll)
+    compare_margins(pll)
+    find_closed_loop_poles(pll)
+    assert len(expanded) == 1

@@ -44,7 +44,9 @@ class TestConstruction:
             ClosedLoopHTM(delayed, method="closed")
         assert ClosedLoopHTM(delayed, method="truncated").method == "truncated"
 
-    def test_offset_forces_truncated(self):
+    def test_offset_loop_closed_lambda_equals_offset_free(self):
+        """A sampling offset rotates V_n and the row l_n by opposite phases,
+        so lambda and H00 do not depend on it and the closed form applies."""
         base = design_typical_loop(omega0=W0, omega_ug=0.05 * W0)
         shifted = PLL(
             pfd=SamplingPFD(W0, sampling_offset=0.1),
@@ -52,8 +54,14 @@ class TestConstruction:
             filter_impedance=base.filter_impedance,
             vco=base.vco,
         )
-        with pytest.raises(ValidationError):
-            ClosedLoopHTM(shifted, method="closed")
+        closed = ClosedLoopHTM(shifted, method="closed")
+        offset_free = ClosedLoopHTM(base)
+        s = np.array([0.13j * W0, 0.2 + 0.31j * W0])
+        lam = closed.effective_gain(s)
+        assert np.allclose(lam, offset_free.effective_gain(s), rtol=1e-12, atol=0)
+        assert np.allclose(closed.h00(s), offset_free.h00(s), rtol=1e-12, atol=0)
+        truncated = ClosedLoopHTM(shifted, method="truncated", harmonics=4000)
+        assert lam[0] == pytest.approx(truncated.effective_gain(s[0]), rel=1e-3)
 
 
 class TestVtilde:
@@ -191,6 +199,30 @@ class TestLPTVVCO:
         assert closed_c.effective_gain(s) == pytest.approx(
             closed_t.effective_gain(s), rel=1e-3
         )
+
+    def test_sampling_offset_advances_the_isf(self):
+        """Sampling ``t_off`` into the period is the offset-free loop seen
+        ``t_off`` later: the ISF harmonics advance by ``e^{j k w0 t_off}``.
+        The SMW closure then matches the dense operator, and the closed
+        lambda the truncated one; unlike a time-invariant loop's, lambda
+        moves with the offset."""
+        base = self.make_lptv_pll(ripple=0.5)
+        pll = PLL(
+            pfd=SamplingPFD(W0, sampling_offset=0.25),
+            charge_pump=base.charge_pump,
+            filter_impedance=base.filter_impedance,
+            vco=base.vco,
+        )
+        order = 30
+        s = 0.13j * W0
+        truncated = ClosedLoopHTM(pll, method="truncated", harmonics=order)
+        dense = truncated.dense_reference(s, order)
+        assert truncated.h00(s) == pytest.approx(dense.element(0, 0), rel=1e-4)
+        assert truncated.element(s, 1, 0) == pytest.approx(dense.element(1, 0), rel=1e-4)
+        lam = ClosedLoopHTM(pll).effective_gain(s)
+        fine = ClosedLoopHTM(pll, method="truncated", harmonics=4000).effective_gain(s)
+        assert lam == pytest.approx(fine, rel=1e-3)
+        assert lam != pytest.approx(ClosedLoopHTM(base).effective_gain(s), rel=1e-2)
 
     def test_ripple_changes_conversion(self):
         """A time-varying ISF adds conversion beyond the sampler's."""

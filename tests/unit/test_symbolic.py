@@ -176,6 +176,24 @@ class TestLoopExpressions:
         s = 0.11j * W0
         assert expr.evaluate({"s": s}) == pytest.approx(closed.h00(s), rel=1e-8)
 
+    def test_offset_loop_matches_numeric(self, pll):
+        """A sampling offset leaves lambda unchanged, so the symbolic form
+        follows the numeric closed form there too."""
+        from repro.blocks.pfd import SamplingPFD
+
+        shifted = PLL(
+            pfd=SamplingPFD(W0, sampling_offset=0.3),
+            charge_pump=pll.charge_pump,
+            filter_impedance=pll.filter_impedance,
+            vco=pll.vco,
+        )
+        expr = effective_gain_expression(shifted)
+        closed = ClosedLoopHTM(shifted)
+        for s in (0.07j * W0, 0.21j * W0, 0.4 + 0.1j * W0):
+            assert expr.evaluate({"s": s}) == pytest.approx(
+                closed.effective_gain(s), rel=1e-10
+            )
+
     def test_delay_rejected(self, pll):
         from repro.blocks.delay import LoopDelay
 

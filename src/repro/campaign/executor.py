@@ -40,7 +40,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import profile as obs_profile
 from repro.obs import resources as obs_resources
 from repro.obs import spans as obs
-from repro.obs import stream as obs_stream
 from repro.obs import trace as obs_trace
 
 __all__ = [
@@ -102,8 +101,9 @@ class ExecutionPolicy:
     checkpoint_every:
         Terminal records between fsynced store checkpoints.
     heartbeat_interval:
-        Seconds between worker heartbeat writes (``None`` disables
-        heartbeats and the stall/straggler check; requires a store).
+        Seconds between the samples each worker appends to its telemetry
+        log (``None`` disables the sampler and the stall/straggler check;
+        requires a store).
     stall_factor:
         A point *stalled* its worker when it ran longer than
         ``stall_factor * heartbeat_interval``.
@@ -111,8 +111,6 @@ class ExecutionPolicy:
         A point is a *straggler* when its elapsed exceeds
         ``straggler_factor`` times the median of completed points (with at
         least 3 samples, and never under one heartbeat interval).
-    stream_interval:
-        Seconds between streaming-metrics samples (when streaming is on).
     memory_budget_mb:
         Per-point peak-RSS budget; points above it are flagged
         ``over_budget`` with a ``campaign.memory_budget`` health event.
@@ -124,10 +122,10 @@ class ExecutionPolicy:
     profile:
         Run the statistical sampling profiler (:mod:`repro.obs.profile`)
         for the duration of the campaign, in every worker.  With a store
-        attached each process writes its sample shard to
-        ``<store>.profile/<worker>.json`` (merge with ``repro obs profile
-        STORE``).  ``REPRO_OBS_PROFILE=1`` in the environment requests the
-        same thing.
+        attached each process appends its profile deltas to its telemetry
+        log, ``<store>.trace/<worker>.jsonl`` (merge with ``repro obs
+        profile STORE``).  ``REPRO_OBS=profile`` in the environment
+        requests the same thing.
     """
 
     workers: int = 1
@@ -139,7 +137,6 @@ class ExecutionPolicy:
     heartbeat_interval: float | None = 5.0
     stall_factor: float = 3.0
     straggler_factor: float = 4.0
-    stream_interval: float = 1.0
     memory_budget_mb: float | None = None
     lease_ttl: float = 30.0
     profile: bool = False
@@ -163,8 +160,6 @@ class ExecutionPolicy:
             raise ValidationError("stall_factor must be >= 1")
         if self.straggler_factor <= 1:
             raise ValidationError("straggler_factor must be > 1")
-        if self.stream_interval <= 0:
-            raise ValidationError("stream_interval must be positive")
         if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
             raise ValidationError("memory_budget_mb must be positive (or None)")
 
@@ -504,34 +499,6 @@ class _Coordinator:
         self._checkpoint()
 
 
-def _stream_sample(telemetry: CampaignTelemetry):
-    """Build the serial path's sampler the stream emitter calls."""
-
-    def sample() -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "total": telemetry.total_points,
-            "done": telemetry.done,
-            "failed": telemetry.failed,
-            "retried": telemetry.retried,
-            "skipped": telemetry.skipped,
-            "wall_seconds": telemetry.wall_seconds,
-            "cache_hits": telemetry.cache_hits,
-            "cache_misses": telemetry.cache_misses,
-            "stalls": telemetry.stalls,
-            "stragglers": telemetry.stragglers,
-            "rss_bytes": obs_resources.current_rss_bytes(),
-        }
-        counts = telemetry.health_counts()
-        if counts:
-            out["health"] = counts
-        ctx = obs_trace.campaign_context()
-        if ctx is not None:
-            out["trace_id"] = ctx.trace_id
-        return out
-
-    return sample
-
-
 def _fork_context():
     """The ``fork`` multiprocessing context, or ``None`` where it is missing."""
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -541,12 +508,14 @@ def _fork_context():
 
 class _Observers:
     """One run's observers in this process, started on construction: the
-    campaign trace context and its span sink, heartbeat and stream
-    emitters, memory probes and the sampling profiler.
+    campaign trace context and its span sink, the sampler, memory probes
+    and the sampling profiler.  Everything they record goes to this
+    worker's telemetry log, ``<store>.trace/<worker>.jsonl``.
 
     A span sink or profiler already set up (a serve process logging or
     profiling itself while a spilled campaign runs inline) is left alone
-    and simply sees the run's events too.
+    and simply sees the run's events too; the run's samples still go to
+    its store's log.
     """
 
     def __init__(
@@ -554,9 +523,7 @@ class _Observers:
         store_path: Path | None,
         policy: ExecutionPolicy,
         telemetry: CampaignTelemetry,
-        sample: Callable[[], dict[str, Any]],
         *,
-        stream_to: str | Path | None,
         trace: obs_trace.TraceContext | None,
         worker: str | None = None,
     ):
@@ -564,40 +531,41 @@ class _Observers:
         self.trace = trace
         self._prev_ctx = obs_trace.campaign_context()
         self._own_sink = self._own_profiler = self._own_profile_sink = False
+        log = obs_trace.log_path(store_path, worker) if store_path is not None else None
         if trace is not None:
             obs_trace.set_campaign(trace)
-            if store_path is not None and obs.enabled() and not obs_trace.sink_configured():
-                obs_trace.configure_sink(obs_trace.trace_dir(store_path), worker=worker)
+            if log is not None and obs.enabled() and not obs_trace.sink_configured():
+                obs_trace.configure_sink(log, worker=worker)
                 self._own_sink = True
-        if store_path is not None and policy.heartbeat_interval is not None:
-            obs_heartbeat.ensure_emitter(
-                obs_heartbeat.heartbeat_dir(store_path), policy.heartbeat_interval
-            )
-        self._stream: obs_stream.StreamEmitter | None = None
-        if store_path is not None and (stream_to is not None or obs_stream.stream_requested()):
-            self._stream = obs_stream.StreamEmitter(
-                Path(stream_to) if stream_to is not None else obs_stream.stream_path(store_path),
-                sample,
-                policy.stream_interval,
-            )
-            self._stream.start()
         obs_resources.configure(policy.memory_budget_mb)
         obs_resources.ensure_tracemalloc()
         if (policy.profile or obs_profile.profile_requested()) and obs_profile.active() is None:
             obs_profile.start()
             self._own_profiler = True
-            if store_path is not None and not obs_profile.sink_configured():
-                obs_profile.configure_sink(obs_profile.profile_dir(store_path), worker=worker)
+            if log is not None and not obs_profile.sink_configured():
+                obs_profile.configure_sink(log)
                 self._own_profile_sink = True
+        self._sampler: obs_heartbeat.Sampler | None = None
+        if log is not None and policy.heartbeat_interval is not None:
+            trace_id = trace.trace_id if trace is not None else None
+
+            def fields() -> dict[str, Any]:
+                out = telemetry.sample()
+                if trace_id is not None:
+                    out["trace_id"] = trace_id
+                return out
+
+            self._sampler = obs_heartbeat.Sampler(
+                log, fields, policy.heartbeat_interval, worker
+            )
+            self._sampler.start()
 
     def close(self) -> None:
-        """Stop them all; the emitters' swallowed errors go to the telemetry."""
-        self.telemetry.heartbeat_errors += obs_heartbeat.stop_emitter()
-        if self._stream is not None:
-            self._stream.stop()
-            self.telemetry.stream_errors += self._stream.errors
+        """Stop them all; the sampler's swallowed errors go to the telemetry."""
+        if self._sampler is not None:
+            self.telemetry.heartbeat_errors += self._sampler.stop()
         if self._own_profiler:
-            obs_profile.stop()  # flushes the final shard when a sink is set
+            obs_profile.stop()  # flushes the final delta when a sink is set
             if self._own_profile_sink:
                 obs_profile.close_sink()
         if self.trace is not None:
@@ -615,7 +583,6 @@ def _run_serial(
     pending: "deque[tuple[int, str, dict, int]]",
     *,
     resumed: bool,
-    stream_to: str | Path | None,
     trace: obs_trace.TraceContext | None,
 ) -> dict[str, dict[str, Any]]:
     """Every pending point in the calling process; returns their records."""
@@ -630,12 +597,7 @@ def _run_serial(
         spec.task, policy, telemetry, store, progress, monitor
     )
     observers = _Observers(
-        store.path if store is not None else None,
-        policy,
-        telemetry,
-        _stream_sample(telemetry),
-        stream_to=stream_to,
-        trace=trace,
+        store.path if store is not None else None, policy, telemetry, trace=trace
     )
     run_start = time.time()
     try:
@@ -675,7 +637,6 @@ def _run_leased(
     *,
     resumed: bool,
     retry_failed: bool,
-    stream_to: str | Path | None,
     trace: obs_trace.TraceContext | None,
 ) -> dict[str, dict[str, Any]]:
     """``policy.workers`` lease workers on this host; returns the merged records.
@@ -707,7 +668,6 @@ def _run_leased(
         policy=policy,
         spec=spec,
         progress=progress,
-        stream_to=stream_to,
         trace=trace,
         retry_failed=retry_failed,
         poll_interval=_LOCAL_POLL,
@@ -768,7 +728,6 @@ def _execute(
     *,
     resumed: bool = False,
     retry_failed: bool = False,
-    stream_to: str | Path | None = None,
     trace: obs_trace.TraceContext | None = None,
 ) -> CampaignResult:
     all_points = list(spec.points())
@@ -784,7 +743,7 @@ def _execute(
 
     # Distributed trace context: explicit (a serve job spill), inherited
     # from the store manifest (resume, lease workers), or minted fresh when
-    # observability is on — so every record/stream sample/health event this
+    # observability is on — so every record/sample/health event this
     # run produces is tagged with one trace_id.
     trace_ctx = trace
     if trace_ctx is None and store is not None:
@@ -818,34 +777,19 @@ def _execute(
             current["trace"] = trace_ctx.to_dict()
         obs_manifest.write_manifest(mpath, current)
 
-    heartbeat_dir: Path | None = None
-    if store is not None and policy.heartbeat_interval is not None:
-        heartbeat_dir = obs_heartbeat.heartbeat_dir(store.path)
-        for stale in heartbeat_dir.glob("*.json"):  # beats of a killed run
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-
     context = _fork_context() if policy.workers > 1 else None
     if policy.workers > 1 and context is None:
         telemetry.note("fork is unavailable on this platform; ran serially")
     if context is not None and store is not None:
         records = _run_leased(
             context, spec, store, policy, progress, telemetry, pending,
-            resumed=resumed, retry_failed=retry_failed,
-            stream_to=stream_to, trace=trace_ctx,
+            resumed=resumed, retry_failed=retry_failed, trace=trace_ctx,
         )
     else:
         records = _run_serial(
             spec, store, policy, progress, telemetry, pending,
-            resumed=resumed, stream_to=stream_to, trace=trace_ctx,
+            resumed=resumed, trace=trace_ctx,
         )
-    if heartbeat_dir is not None:
-        # The run reached its end; beats only matter for live or killed
-        # runs, so leave nothing behind (a SIGKILL never gets here and its
-        # beats survive for `repro campaign watch`).
-        shutil.rmtree(heartbeat_dir, ignore_errors=True)
 
     ordered = []
     for pid, _params in all_points:
@@ -877,20 +821,18 @@ def run_campaign(
     policy: ExecutionPolicy | None = None,
     progress: ProgressCallback | None = None,
     overwrite: bool = False,
-    stream_path: str | Path | None = None,
     trace: obs_trace.TraceContext | None = None,
     **policy_overrides: Any,
 ) -> CampaignResult:
     """Run every point of ``spec``; optionally persist to a JSONL store.
 
     ``policy_overrides`` (``workers=``, ``timeout=``, ``retries=``, ...)
-    are shorthand for building an :class:`ExecutionPolicy`.  Passing
-    ``stream_path=`` (or setting ``REPRO_OBS_STREAM=1``, which streams to
-    ``<store>.stream.jsonl``) turns on the streaming-metrics emitter; both
-    require a store.  ``trace=`` threads an upstream distributed trace
-    context (e.g. the serve request that spilled this campaign) into the
-    manifest and every record; with observability enabled a fresh context
-    is minted when none is given.
+    are shorthand for building an :class:`ExecutionPolicy`.  With a store,
+    each worker appends a sample per ``heartbeat_interval`` to its
+    telemetry log under ``<store>.trace/``.  ``trace=`` threads an upstream
+    distributed trace context (e.g. the serve request that spilled this
+    campaign) into the manifest and every record; with observability
+    enabled a fresh context is minted when none is given.
 
     Lease workers share their records through a store: with
     ``workers > 1`` and no ``store_path`` the run uses a private temporary
@@ -906,23 +848,26 @@ def run_campaign(
                 Path(scratch) / "campaign.jsonl",
                 policy=policy,
                 progress=progress,
-                stream_path=stream_path,
                 trace=trace,
             )
         return replace(result, store_path=None)
     store = None
     if store_path is not None:
         store = ResultStore.create(store_path, spec, overwrite=overwrite)
-        # A fresh store starts without the shards and leases of an old run.
-        shutil.rmtree(shard_dir(store.path), ignore_errors=True)
-        shutil.rmtree(lease.lease_dir(store.path), ignore_errors=True)
+        # A fresh store starts without the shards, leases and telemetry
+        # logs of an old run.
+        for sidecar in (
+            shard_dir(store.path),
+            lease.lease_dir(store.path),
+            obs_trace.trace_dir(store.path),
+        ):
+            shutil.rmtree(sidecar, ignore_errors=True)
     return _execute(
         spec,
         store,
         policy,
         progress,
         completed={},
-        stream_to=stream_path,
         trace=trace,
     )
 
@@ -935,7 +880,6 @@ def resume_campaign(
     policy: ExecutionPolicy | None = None,
     progress: ProgressCallback | None = None,
     retry_failed: bool = False,
-    stream_path: str | Path | None = None,
     trace: obs_trace.TraceContext | None = None,
     **policy_overrides: Any,
 ) -> CampaignResult:
@@ -968,7 +912,6 @@ def resume_campaign(
         completed=completed_records,
         resumed=True,
         retry_failed=retry_failed,
-        stream_to=stream_path,
         trace=trace,
     )
 

@@ -9,7 +9,7 @@ protocol over a shared filesystem (NFS, a bind-mounted volume, or just
 processes can join a campaign, steal abandoned work, and leave at any
 time, with no coordinator process and no network protocol.
 
-Layout (everything lives next to the store, like heartbeats/streams)::
+Layout (everything lives next to the store, like the telemetry logs)::
 
     <store>                      # header + summary (never point records)
     <store>.shards/<worker>.jsonl   # one single-writer record shard per worker
@@ -83,8 +83,6 @@ from repro.campaign.store import ResultStore, shard_dir
 from repro.campaign.telemetry import CampaignTelemetry, ProgressCallback
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import manifest as obs_manifest
-from repro.obs import profile as obs_profile
-from repro.obs import resources as obs_resources
 from repro.obs import trace as obs_trace
 
 __all__ = [
@@ -543,33 +541,6 @@ class WorkerReport:
         }
 
 
-def _worker_stream_sample(
-    telemetry: CampaignTelemetry, worker: str, trace_id: str | None = None
-):
-    """Per-worker streaming sampler (samples carry the worker id)."""
-
-    def sample() -> dict[str, Any]:
-        out = {
-            "worker": worker,
-            "total": telemetry.total_points,
-            "done": telemetry.done,
-            "failed": telemetry.failed,
-            "retried": telemetry.retried,
-            "skipped": telemetry.skipped,
-            "wall_seconds": telemetry.wall_seconds,
-            "cache_hits": telemetry.cache_hits,
-            "cache_misses": telemetry.cache_misses,
-            "lease_claims": telemetry.lease_claims,
-            "lease_reclaims": telemetry.lease_reclaims,
-            "rss_bytes": obs_resources.current_rss_bytes(),
-        }
-        if trace_id is not None:
-            out["trace_id"] = trace_id
-        return out
-
-    return sample
-
-
 def run_worker(
     store_path: str | Path,
     *,
@@ -580,7 +551,6 @@ def run_worker(
     max_idle: float | None = None,
     poll_interval: float | None = None,
     progress: ProgressCallback | None = None,
-    stream_to: str | Path | None = None,
     trace: "obs_trace.TraceContext | None" = None,
     retry_failed: bool = False,
     finalize: bool = True,
@@ -611,7 +581,8 @@ def run_worker(
     context (so point records and health events are trace-tagged) and,
     with observability enabled, span events (``lease.claim``,
     ``lease.reclaim``, ``lease.idle``, ``lease.batch``, ``lease.worker``)
-    are appended to this worker's shard under ``<store>.trace/``.
+    are appended to this worker's telemetry log under ``<store>.trace/``,
+    beside its samples.
     """
     from collections import deque
 
@@ -670,21 +641,9 @@ def run_worker(
     shard = ResultStore.open_shard(store.path, worker, spec)
     shard_lock = _hold_shard_lock(shard.path)
     coordinator = _Coordinator(spec.task, policy, telemetry, shard, progress)
-    # Span events, stream samples and profile shards are this worker's own:
-    # <store>.trace/<worker>.jsonl, <store>.profile/<worker>.json.
-    observers = _Observers(
-        store.path,
-        policy,
-        telemetry,
-        _worker_stream_sample(
-            telemetry,
-            worker,
-            trace_id=trace_ctx.trace_id if trace_ctx is not None else None,
-        ),
-        stream_to=stream_to,
-        trace=trace_ctx,
-        worker=worker,
-    )
+    # Span events, samples and profile deltas go to this worker's own log,
+    # <store>.trace/<worker>.jsonl.
+    observers = _Observers(store.path, policy, telemetry, trace=trace_ctx, worker=worker)
     worker_ctx = trace_ctx.child() if trace_ctx is not None else None
     traced = worker_ctx is not None and obs_trace.sink_configured()
     renewer = _LeaseRenewer(ldir, worker, ttl)
@@ -772,7 +731,6 @@ def run_worker(
                 )
                 pending = len(entries)
                 coordinator.run_serial(entries)
-                obs_profile.maybe_flush()
             finally:
                 renewer.drop()
             if traced:

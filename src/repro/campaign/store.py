@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro._errors import ValidationError
+from repro._tail import LineTail
 from repro.campaign.spec import CampaignSpec, ParameterSpace
 
 __all__ = ["ResultStore", "StoreCorruptError", "shard_dir"]
@@ -88,20 +89,17 @@ def _encode(record: Mapping[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _Tail:
-    """What one store file's newline-terminated lines have said so far.
+class _Tail(LineTail):
+    """What one store file's newline-terminated lines have said so far."""
 
-    ``offset`` is the byte just past the last newline consumed; a line
-    still being appended (no newline yet) waits for a later refresh.
-    """
+    __slots__ = ("lines", "points", "counts", "summary", "bad_line", "corrupt")
 
-    __slots__ = (
-        "identity", "offset", "lines", "points", "counts", "summary", "bad_line", "corrupt"
-    )
+    def __init__(self) -> None:
+        super().__init__()
+        self.clear()
 
-    def __init__(self, identity: tuple[int, int]):
-        self.identity = identity  # (st_dev, st_ino)
-        self.offset = 0
+    def clear(self) -> None:
+        """Forget every line (the file is read again from byte 0)."""
         self.lines = 0
         self.points: dict[str, dict[str, Any]] = {}  # id -> last point record
         self.counts: dict[str, int] = {}  # id -> point records in this file
@@ -390,26 +388,15 @@ class ResultStore:
         rewritten in place), is read again from byte 0.  An ``OSError``
         leaves the reader's state untouched.
         """
-        tail = self._tails.get(path)
-        with path.open("rb") as handle:
-            info = os.fstat(handle.fileno())
-            identity = (info.st_dev, info.st_ino)
-            fresh = tail is None or tail.identity != identity
-            if not fresh and tail.offset:
-                handle.seek(tail.offset - 1)
-                fresh = handle.read(1) != b"\n"  # shrank, or rewritten in place
-            if not fresh and tail.corrupt:
-                return []
-            handle.seek(0 if fresh else tail.offset)
-            data = handle.read()
+        tail = self._tails.get(path) or _Tail()
+        fresh, text = tail.read(path, idle=tail.corrupt is not None)
+        self._tails[path] = tail
         changed: list[str] = []
         if fresh:
-            if tail is not None:
-                changed.extend(tail.points)
-            tail = self._tails[path] = _Tail(identity)
-        end = data.rfind(b"\n") + 1
-        tail.offset += end
-        changed += tail.consume(data[:end].decode("utf-8", "replace"), path)
+            changed.extend(tail.points)
+            tail.clear()
+        if text:
+            changed += tail.consume(text, path)
         return changed
 
     def _refresh(self) -> _Tail:

@@ -41,7 +41,6 @@ ProgressCallback = Callable[[dict[str, Any], "CampaignTelemetry"], None]
 #: run of several workers sums them.
 WORKER_COUNTERS = (
     "progress_errors",
-    "stream_errors",
     "heartbeat_errors",
     "lease_claims",
     "lease_reclaims",
@@ -97,8 +96,7 @@ class CampaignTelemetry:
     stragglers: int = 0  # points flagged as elapsed > k * median
     straggler_ids: list[str] = field(default_factory=list)
     progress_errors: int = 0  # progress-callback exceptions (swallowed)
-    stream_errors: int = 0  # stream-emitter exceptions (swallowed)
-    heartbeat_errors: int = 0  # heartbeat-emitter exceptions (swallowed)
+    heartbeat_errors: int = 0  # sampler exceptions (swallowed)
     timeout_degraded: int = 0  # points whose timeout could not be armed
     # -- lease workers (see repro.campaign.lease) ------------------------------
     lease_claims: int = 0  # batch leases this worker claimed
@@ -293,6 +291,27 @@ class CampaignTelemetry:
 
     # -- reporting ---------------------------------------------------------------
 
+    def sample(self) -> dict[str, Any]:
+        """This worker's cumulative progress counters, for its telemetry log."""
+        out: dict[str, Any] = {
+            "total": self.total_points,
+            "done": self.done,
+            "failed": self.failed,
+            "retried": self.retried,
+            "skipped": self.skipped,
+            "wall_seconds": self.wall_seconds,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "stalls": self.stalls,
+            "stragglers": self.stragglers,
+            "lease_claims": self.lease_claims,
+            "lease_reclaims": self.lease_reclaims,
+        }
+        counts = self.health_counts()
+        if counts:
+            out["health"] = counts
+        return out
+
     def to_dict(self) -> dict[str, Any]:
         """Picklable/JSON-able snapshot of every counter."""
         out = {
@@ -320,7 +339,6 @@ class CampaignTelemetry:
                 "stragglers": self.stragglers,
                 "straggler_ids": list(self.straggler_ids),
                 "progress_errors": self.progress_errors,
-                "stream_errors": self.stream_errors,
                 "heartbeat_errors": self.heartbeat_errors,
                 "timeout_degraded": self.timeout_degraded,
             },

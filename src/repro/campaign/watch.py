@@ -1,27 +1,32 @@
 """``repro campaign watch``: a stdlib-only live dashboard for running campaigns.
 
-Tails the three live artifacts a campaign leaves next to its store —
+Reads what a campaign leaves next to its store —
 
-* the append-only result JSONL (progress, terminal statuses),
-* ``<store>.heartbeats/`` (one beat file per worker process),
-* ``<store>.stream.jsonl`` (the streaming-metrics time-series, if on),
+* the append-only result JSONL and its worker shards (progress, terminal
+  statuses),
+* ``<store>.trace/``, one telemetry log per worker process (samples,
+  spans, profile deltas), read through one
+  :class:`~repro.obs.trace.LogReader`,
 * ``<store>.manifest.json`` (run provenance)
 
 — and renders a single refreshing screen: a progress bar with an ETA
 derived from observed throughput, a per-point latency quantile line
-(p50/p95/p99 over the merged records), one line per live worker (phase,
-current point, elapsed, RSS, staleness), worst health-event counts, and
-the provenance header.  Multi-host lease campaigns merge naturally:
-progress counts come from :meth:`~repro.campaign.store.ResultStore.
-merged_status` (main store + worker shards), worker lines group by host
-when more than one host is beating, lease/batch progress gets its own
-line, and the ETA sums the per-worker throughputs observed in the shared
-stream file.  Everything is read-only and torn-file tolerant,
-so watching a run (or the corpse of a SIGKILLed one) can never perturb
-it.  ``--once`` renders a single frame and exits — that is what tests
-and CI use; interactively, the screen refreshes in place until the
-campaign completes or you press Ctrl-C (``q``/Ctrl-C both just end the
-watcher, never the run).
+(p50/p95/p99 over the merged records), the hottest profiled frames, the
+worst SLO burn, one line per live worker (phase, current point, elapsed,
+RSS, staleness), the run-wide sample line, and the provenance header.
+Multi-host lease campaigns merge naturally: progress counts come from
+:meth:`~repro.campaign.store.ResultStore.merged_status` (main store +
+worker shards), worker lines group by host when more than one host is
+sampling, lease/batch progress gets its own line, and the run-wide
+counters sum every worker's latest sample
+(:func:`~repro.obs.trace.run_series`).  Everything is read-only and
+torn-file tolerant, so watching a run (or the corpse of a SIGKILLed one)
+can never perturb it; the refreshing loop keeps one store reader and one
+log reader, so each frame decodes only what was appended since the last.
+``--once`` renders a single frame and exits — that is what tests and CI
+use; interactively, the screen refreshes in place until the campaign
+completes or you press Ctrl-C (``q``/Ctrl-C both just end the watcher,
+never the run).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Any
 from repro.campaign.store import ResultStore
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import manifest as obs_manifest
-from repro.obs import stream as obs_stream
+from repro.obs.trace import LogReader
 
 __all__ = ["poll_store", "render", "watch"]
 
@@ -43,7 +48,7 @@ def poll_store(store_path: str | Path) -> dict[str, Any]:
     """One machine-readable liveness sample of a (possibly running) store.
 
     The JSON-shaped sibling of :func:`render` — progress counts from the
-    store, the latest streaming-metrics sample (when the run streams), and
+    store, the run-wide counters of its latest samples (``stream``), and
     the run manifest.  This is what the serving layer's job-polling
     endpoint returns, and what ``repro jobs`` prints: read-only,
     torn-file tolerant, safe against a live writer or a SIGKILLed corpse.
@@ -76,9 +81,9 @@ def poll_store(store_path: str | Path) -> dict[str, Any]:
             for key in ("spec_hash", "runs", "package_version", "git_sha")
             if manifest.get(key) is not None
         }
-    samples = obs_stream.read_stream(obs_stream.stream_path(store.path))
-    if samples:
-        out["stream"] = samples[-1]
+    series = LogReader(store.path).refresh().series()
+    if series:
+        out["stream"] = series[-1]
     return out
 
 _BAR_WIDTH = 32
@@ -109,22 +114,18 @@ def _fmt_bytes(n: float) -> str:
     return f"{float(n) / 1e6:.0f}MB"
 
 
-def _eta_seconds(
-    stream_records: list[dict[str, Any]], pending: int
-) -> float | None:
-    """Pending / throughput from the stream samples.
+def _eta_seconds(samples: list[dict[str, Any]], pending: int) -> float | None:
+    """Pending / throughput from the samples.
 
-    A shared stream file can interleave samples from several lease
-    workers (each tagged with its worker id), whose counters are
-    per-worker, not global — so samples are grouped by worker and the
-    observed throughputs *summed*.  With a single (untagged) coordinator
-    stream this reduces exactly to the classic first-vs-last estimate.
+    Each worker's counters are its own, so samples are grouped by worker
+    (and run) and the observed throughputs *summed*; with one worker this
+    is the classic first-vs-last estimate.
     """
-    if pending <= 0 or len(stream_records) < 2:
+    if pending <= 0 or len(samples) < 2:
         return None
     by_worker: dict[Any, list[dict[str, Any]]] = {}
-    for sample in stream_records:
-        by_worker.setdefault(sample.get("worker"), []).append(sample)
+    for sample in samples:
+        by_worker.setdefault((sample.get("worker"), sample.get("run")), []).append(sample)
     throughput = 0.0
     for samples in by_worker.values():
         if len(samples) < 2:
@@ -166,18 +167,15 @@ def _point_latency_quantiles(store: ResultStore) -> dict[str, float]:
     return histogram_quantiles(hist)
 
 
-def _profile_line(store_path: Path) -> str | None:
-    """Hottest frames from the store's profiler shards, if any exist."""
+def _profile_line(log: LogReader) -> str | None:
+    """Hottest frames over the logs' profile deltas, if any were flushed."""
     from repro.obs import profile as obs_profile
 
-    try:
-        profiles = obs_profile.load_store_profiles(store_path)
-        if not profiles:
-            return None
-        merged = obs_profile.merge_profiles(profiles)
-        top = obs_profile.top_frames(merged, n=3)
-    except Exception:
+    deltas = log.profiles()
+    if not deltas:
         return None
+    merged = obs_profile.merge_profiles(deltas)
+    top = obs_profile.top_frames(merged, n=3)
     if not merged.get("samples") or not top:
         return None
     parts = [f"{entry['frame']} {entry['fraction']:.0%}" for entry in top]
@@ -187,12 +185,12 @@ def _profile_line(store_path: Path) -> str | None:
     )
 
 
-def _slo_line(store_path: Path) -> str | None:
-    """Worst SLO burn over the store's stream samples, if evaluable."""
+def _slo_line(store_path: Path, log: LogReader) -> str | None:
+    """Worst SLO burn over the run-wide sample series, if evaluable."""
     from repro.obs import slo as obs_slo
 
     try:
-        result = obs_slo.evaluate_store(store_path)
+        result = obs_slo.evaluate_store(store_path, log=log)
     except Exception:
         return None
     slos = result.get("slos") or []
@@ -235,11 +233,16 @@ def _lease_progress(store_path: Path) -> dict[str, int] | None:
     return counts
 
 
-def render(store_path: str | Path | ResultStore, now: float | None = None) -> str:
+def render(
+    store_path: str | Path | ResultStore,
+    now: float | None = None,
+    log: LogReader | None = None,
+) -> str:
     """One dashboard frame as a plain string (no ANSI; raises on a bad path).
 
-    Pass an open :class:`ResultStore` to reuse its reader across frames, so
-    each frame decodes only the records appended since the last one.
+    Pass an open :class:`ResultStore` and a :class:`LogReader` to reuse
+    them across frames, so each frame decodes only the records and log
+    lines appended since the last one.
     """
     now = time.time() if now is None else now
     if isinstance(store_path, ResultStore):
@@ -249,11 +252,9 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
     store_path = store.path
     status = store.merged_status()
     manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store_path))
-    beats = obs_heartbeat.read_heartbeats(obs_heartbeat.heartbeat_dir(store_path))
-    stream_file = obs_stream.stream_path(store_path)
-    stream_records = (
-        obs_stream.read_stream(stream_file) if stream_file.exists() else []
-    )
+    log = (log if log is not None else LogReader(store_path)).refresh()
+    samples = log.samples()
+    series = log.series()
 
     total = int(status["points"])
     done, failed, pending = status["done"], status["failed"], status["pending"]
@@ -287,7 +288,7 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
                 parts.append(f"{leases[state]} {state}")
         lines.append("leases: " + " · ".join(parts))
 
-    eta = _eta_seconds(stream_records, pending)
+    eta = _eta_seconds(samples, pending)
     if eta is not None:
         lines.append(f"eta: ~{_fmt_seconds(eta)} at observed throughput")
 
@@ -302,18 +303,35 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
             )
         )
 
-    profile_line = _profile_line(store_path)
+    profile_line = _profile_line(log)
     if profile_line is not None:
         lines.append(profile_line)
-    if stream_records:
-        slo_line = _slo_line(store_path)
+    if series:
+        slo_line = _slo_line(store_path, log)
         if slo_line is not None:
             lines.append(slo_line)
 
     interval = 5.0
     if manifest and isinstance(manifest.get("policy"), dict):
         interval = float(manifest["policy"].get("heartbeat_interval") or 5.0)
-    live = [b for b in beats if b.get("phase") != "stopped"]
+    latest: dict[Any, dict[str, Any]] = {}
+    for sample in samples:
+        worker = sample.get("worker")
+        if worker not in latest or sample.get("time", 0) >= latest[worker].get("time", 0):
+            latest[worker] = sample
+    beats = sorted(
+        latest.values(), key=lambda b: (str(b.get("host", "")), b.get("pid", 0))
+    )
+
+    def stale(beat: dict[str, Any]) -> bool:
+        return obs_heartbeat.beat_age(beat, now) > 3.0 * interval
+
+    # A worker whose last sample is not `stopped` is live, or died; once the
+    # campaign is complete a silent one is simply gone.
+    live = [
+        b for b in beats
+        if b.get("phase") != "stopped" and not (status["complete"] and stale(b))
+    ]
     if live:
         by_host: dict[str, list[dict[str, Any]]] = {}
         for beat in live:
@@ -322,7 +340,6 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
 
         def _beat_line(beat: dict[str, Any], indent: str) -> str:
             age = obs_heartbeat.beat_age(beat, now)
-            stale = age > 3.0 * interval
             phase = beat.get("phase", "?")
             detail = ""
             if beat.get("point_id"):
@@ -337,10 +354,10 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
             )
             return (
                 f"{indent}{label}: {phase}{detail} · "
-                f"{beat.get('points_done', 0)} done · "
+                f"{beat.get('done', 0)} done · "
                 f"{_fmt_bytes(beat.get('rss_bytes', 0))} · "
                 f"beat {age:.1f}s ago"
-                + ("  ** STALLED? **" if stale else "")
+                + ("  ** STALLED? **" if stale(beat) else "")
             )
 
         if multi_host:
@@ -355,12 +372,12 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
         lines.append(f"workers: none live ({len(beats)} stopped)")
     elif not status["complete"]:
         lines.append(
-            "workers: no heartbeats found "
-            "(run predates live telemetry, or they were cleaned up)"
+            "workers: no samples found "
+            "(run predates the telemetry log, or ran with --no-heartbeats)"
         )
 
-    if stream_records:
-        last = stream_records[-1]
+    if series:
+        last = series[-1]
         extras = []
         if "cache_hits" in last:
             hits = int(last["cache_hits"])
@@ -375,9 +392,10 @@ def render(store_path: str | Path | ResultStore, now: float | None = None) -> st
         for severity in ("error", "warning"):
             if health.get(severity):
                 extras.append(f"{health[severity]} {severity}(s)")
-        age = max(now - float(last.get("time", now)), 0.0)
+        age = max(now - float(last["time"]), 0.0)
         lines.append(
-            f"stream: {len(stream_records)} sample(s), last {age:.1f}s ago"
+            f"stream: {len(samples)} sample(s) from {last['workers']} worker(s), "
+            f"last {age:.1f}s ago"
             + (" · " + " · ".join(extras) if extras else "")
         )
 
@@ -400,8 +418,9 @@ def watch(
     """Render the dashboard, refreshing in place until complete (or Ctrl-C)."""
     out = sys.stdout if out is None else out
     store = ResultStore.open(store_path)
+    log = LogReader(store.path)
     while True:
-        frame = render(store)
+        frame = render(store, log=log)
         if once:
             print(frame, file=out)
             return 0

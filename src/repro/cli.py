@@ -56,7 +56,7 @@ Observability reports (:mod:`repro.obs`)::
                     [--json | --csv | --trace out.json] [--out obs.json]
     python -m repro obs trace RESULTS.jsonl [--serve-log serve.trace.jsonl]
                     [--trace-id HEX32] [--out trace.json]
-    python -m repro obs profile RESULTS.jsonl [--serve-profile FILE ...]
+    python -m repro obs profile RESULTS.jsonl [--serve-log FILE ...]
                     [--out collapsed.txt] [--html flame.html] [--top N] [--json]
     python -m repro obs slo RESULTS.jsonl [--spec slo.json]
                     [--fail-on breach] [--json]
@@ -68,13 +68,14 @@ through ``REPRO_OBS_EXPORT=path``; several sources merge into one view.
 (see ``docs/OBSERVABILITY.md``) and, with ``--fail-on``, exits nonzero when
 events at or above that severity occurred — the CI gate.  ``--trace``
 writes Chrome Trace Event Format for ``chrome://tracing`` / Perfetto.
-``obs trace`` is the *distributed* collector: it merges the per-worker span
-shards under ``<store>.trace/`` (plus serve logs) into one Chrome trace
-with per-host/per-worker lanes and a critical-path summary.  ``obs
-profile`` is its statistical-profiling sibling: it merges the per-worker
-sample shards under ``<store>.profile/`` (plus serve captures) into
-collapsed-stack text or a d3-flamegraph HTML page.  ``obs slo`` evaluates
-declarative SLOs (multi-window burn rates) over a store's stream samples;
+``obs trace``, ``obs profile`` and ``obs slo`` read the store's telemetry
+logs, one per worker process under ``<store>.trace/`` (plus serve logs).
+``obs trace`` is the *distributed* collector: it merges their spans and
+samples into one Chrome trace with per-host/per-worker lanes and a
+critical-path summary.  ``obs profile`` is its statistical-profiling
+sibling: it merges their profile deltas into collapsed-stack text or a
+d3-flamegraph HTML page.  ``obs slo`` evaluates declarative SLOs
+(multi-window burn rates) over the run-wide sum of the workers' samples;
 ``--fail-on breach`` makes it a CI gate.
 
 Benchmark baselines (:mod:`repro.obs.baseline`)::
@@ -153,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--heartbeat-interval",
             type=float,
             default=5.0,
-            help="seconds between worker heartbeat writes (default 5)",
+            help="seconds between the samples each worker logs (default 5)",
         )
         sub.add_argument(
             "--no-heartbeats",
             action="store_true",
-            help="disable heartbeats and the stall/straggler check",
+            help="disable the sampler and the stall/straggler check",
         )
         sub.add_argument(
             "--stall-factor",
@@ -175,16 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--stream",
             action="store_true",
-            help="stream metrics to <store>.stream.jsonl (or REPRO_OBS_STREAM=1)",
-        )
-        sub.add_argument(
-            "--stream-path", default=None, help="explicit streaming-metrics JSONL path"
-        )
-        sub.add_argument(
-            "--stream-interval",
-            type=float,
-            default=1.0,
-            help="seconds between streaming samples (default 1)",
+            help="ignored: every worker logs samples at --heartbeat-interval",
         )
         sub.add_argument(
             "--memory-budget-mb",
@@ -207,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--profile",
             action="store_true",
-            help="sample worker stacks into <store>.profile/ shards "
-            "(or REPRO_OBS_PROFILE=1); merge with `repro obs profile`",
+            help="sample worker stacks into the store's telemetry logs "
+            "(or REPRO_OBS=profile); merge with `repro obs profile`",
         )
 
     run_cmd = actions.add_parser("run", help="run a campaign spec file")
@@ -344,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_cmd.add_argument(
         "store",
-        help="campaign/job store JSONL; its <store>.trace/ shards, "
-        "heartbeats, and stream samples are merged",
+        help="campaign/job store JSONL; the spans and samples of its "
+        "<store>.trace/ logs are merged",
     )
     trace_cmd.add_argument(
         "--serve-log",
@@ -368,20 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_cmd = obs_actions.add_parser(
         "profile",
-        help="merge statistical-profiler shards into collapsed stacks "
+        help="merge statistical-profiler deltas into collapsed stacks "
         "or a flamegraph",
     )
     profile_cmd.add_argument(
         "store",
-        help="campaign/job store JSONL (its <store>.profile/ shards are "
-        "merged) or a single profile JSON file",
+        help="campaign/job store JSONL (the profile deltas of its "
+        "<store>.trace/ logs are merged)",
     )
     profile_cmd.add_argument(
-        "--serve-profile",
+        "--serve-log",
         action="append",
         default=[],
         metavar="FILE",
-        help="also merge a serve-process profile shard (repeatable)",
+        help="also merge a serve-process log's profile deltas (repeatable)",
     )
     profile_cmd.add_argument(
         "--out",
@@ -412,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo_cmd.add_argument(
         "source",
         help="campaign/job result store JSONL (burn rates are computed "
-        "over its stream samples, else its terminal status)",
+        "over its workers' samples, else its terminal status)",
     )
     slo_cmd.add_argument(
         "--spec",
@@ -538,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-log",
         default=None,
         metavar="FILE",
-        help="record span events (distributed tracing) to this JSONL file",
+        help="record span events (distributed tracing) and, with "
+        "--profile, profile deltas to this JSONL file",
     )
     serve_cmd.add_argument(
         "--profile",
@@ -550,12 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=97,
         help="sampling rate for --profile and /v1/profilez (default 97)",
-    )
-    serve_cmd.add_argument(
-        "--profile-log",
-        default=None,
-        metavar="PATH",
-        help="flush the always-on profile to PATH (.json file or directory)",
     )
     serve_cmd.add_argument(
         "--slo-spec",
@@ -718,23 +705,21 @@ def _obs_trace(args) -> int:
 
 
 def _obs_profile(args) -> int:
-    """Collector: merge a store's profile shards (+ serve captures)."""
+    """Collector: merge the profile deltas of a store's logs (+ serve logs)."""
     from repro.obs import profile as obs_profile
+    from repro.obs.trace import LogReader
 
     store = Path(args.store)
-    profiles = list(obs_profile.load_store_profiles(store))
-    single = obs_profile.read_profile(store)
-    if single is not None:
-        profiles.append(single)
-    for log in args.serve_profile:
-        prof = obs_profile.read_profile(log)
-        if prof is None:
-            raise ValidationError(f"no profile at {log}")
-        profiles.append(prof)
+    if not store.exists():
+        raise ValidationError(f"no store at {store}")
+    for log in args.serve_log:
+        if not Path(log).exists():
+            raise ValidationError(f"no serve log at {log}")
+    profiles = LogReader(store, logs=args.serve_log).refresh().profiles()
     if not profiles:
         print(
-            f"no profile shards for {store} — run with --profile "
-            "(or REPRO_OBS_PROFILE=1) to record samples",
+            f"no profile deltas for {store} — run with --profile "
+            "(or REPRO_OBS=profile) to record samples",
             file=sys.stderr,
         )
         return 1
@@ -855,7 +840,6 @@ def _serve(args) -> int:
         job_lease_batch=args.job_lease_batch,
         profile=args.profile,
         profile_hz=args.profile_hz,
-        profile_log=args.profile_log,
         slo_spec=args.slo_spec,
         slo_interval=args.slo_interval,
     )
@@ -900,11 +884,7 @@ def _jobs(args) -> int:
             raise ValidationError(f"no job {args.id!r} in {path.parent}")
 
     if path.is_dir():
-        stores = [
-            p
-            for p in sorted(path.glob("*.jsonl"))
-            if not p.name.endswith(".stream.jsonl")
-        ]
+        stores = sorted(path.glob("*.jsonl"))
         if not stores:
             print(f"no jobs in {path}")
             return 0
@@ -943,22 +923,11 @@ def _policy_from_args(args) -> "ExecutionPolicy":
         ),
         stall_factor=args.stall_factor,
         straggler_factor=args.straggler_factor,
-        stream_interval=args.stream_interval,
         memory_budget_mb=args.memory_budget_mb,
         batch_size=args.batch_size,
         lease_ttl=args.lease_ttl,
         profile=args.profile,
     )
-
-
-def _stream_path_from_args(args, store_path) -> "Path | None":
-    if args.stream_path:
-        return Path(args.stream_path)
-    if args.stream:
-        from repro.obs.stream import stream_path
-
-        return stream_path(store_path)
-    return None  # REPRO_OBS_STREAM=1 still turns streaming on downstream
 
 
 def _progress_printer(quiet: bool):
@@ -1047,7 +1016,6 @@ def _campaign(args) -> int:
             max_idle=args.max_idle,
             poll_interval=args.poll_interval,
             progress=_progress_printer(args.quiet),
-            stream_to=_stream_path_from_args(args, args.results),
         )
         print(report.telemetry.summary())
         print(
@@ -1117,7 +1085,6 @@ def _campaign(args) -> int:
             policy=_policy_from_args(args),
             progress=_progress_printer(args.quiet),
             overwrite=args.overwrite,
-            stream_path=_stream_path_from_args(args, out),
         )
     else:  # resume
         result = resume_campaign(
@@ -1125,7 +1092,6 @@ def _campaign(args) -> int:
             policy=_policy_from_args(args),
             progress=_progress_printer(args.quiet),
             retry_failed=args.retry_failed,
-            stream_path=_stream_path_from_args(args, args.results),
         )
 
     print(result.telemetry.summary())

@@ -41,7 +41,6 @@ from repro.obs.health import (
     severity_counts,
     worst_events,
 )
-from repro.obs.heartbeat import heartbeat_dir, read_heartbeats
 from repro.obs.manifest import (
     build_manifest,
     check_manifest,
@@ -52,9 +51,7 @@ from repro.obs.manifest import (
 )
 from repro.obs.profile import (
     Profiler,
-    load_store_profiles,
     merge_profiles,
-    profile_dir,
     profile_requested,
     to_collapsed,
     to_flamegraph_html,
@@ -114,13 +111,8 @@ from repro.obs.spans import (
     snapshot,
     span,
 )
-from repro.obs.stream import (
-    StreamEmitter,
-    read_stream,
-    stream_path,
-    stream_requested,
-)
 from repro.obs.trace import (
+    LogReader,
     TraceContext,
     build_chrome_trace,
     critical_path_summary,
@@ -137,6 +129,7 @@ __all__ = [
     "CounterStat",
     "HealthStat",
     "HistogramStat",
+    "LogReader",
     "NullSpan",
     "ObsRegistry",
     "Profiler",
@@ -145,7 +138,6 @@ __all__ = [
     "SLOMonitor",
     "Span",
     "SpanStat",
-    "StreamEmitter",
     "TraceContext",
     "add",
     "add_hook",
@@ -169,12 +161,10 @@ __all__ = [
     "format_top",
     "format_traceparent",
     "health_event",
-    "heartbeat_dir",
     "histogram_quantiles",
     "load_manifest",
     "load_slo_spec",
     "load_snapshot",
-    "load_store_profiles",
     "manifest_path",
     "max_severity",
     "merge_profiles",
@@ -184,10 +174,7 @@ __all__ = [
     "parse_slo_spec",
     "parse_traceparent",
     "peak_rss_bytes",
-    "profile_dir",
     "profile_requested",
-    "read_heartbeats",
-    "read_stream",
     "registry",
     "remove_hook",
     "reset",
@@ -197,8 +184,6 @@ __all__ = [
     "snapshot_delta",
     "span",
     "spec_fingerprint",
-    "stream_path",
-    "stream_requested",
     "summary",
     "to_chrome_trace",
     "to_collapsed",

@@ -1,63 +1,64 @@
-"""Worker heartbeats: live per-process liveness files next to the ResultStore.
+"""Worker liveness: the run's sampler thread and the point state it reports.
 
 A campaign's JSONL store only shows *completed* points; while a worker is
 inside a 40-minute stability cell there is no externally visible signal
-distinguishing "still crunching" from "wedged in a BLAS call".  Heartbeats
-close that gap.  Each worker process runs one daemon emitter thread that
-periodically rewrites a single small JSON file
+distinguishing "still crunching" from "wedged in a BLAS call".  Samples
+close that gap.  Each run with a store runs one daemon :class:`Sampler`
+thread per worker process that appends a ``sample`` record, every
+heartbeat interval, to the worker's telemetry log
 
-    <store>.heartbeats/<hostname>-<pid>.json
+    <store>.trace/<hostname>-<pid>.jsonl
 
-keyed by the process's *worker id* — hostname plus pid — so workers on
-different hosts sharing one store (lease workers on several hosts)
-can never collide even when their pids coincide.  Each beat carries the
-worker id, host, pid, current phase (``point`` / ``idle`` / ``stopped``), the point
-id it is working on, how long that point has been running, how many points
-it has finished, its instantaneous RSS, and — when observability is on —
-its registry counter totals.  Writes are atomic (temp file + ``os.replace``)
-so readers (the coordinator's liveness monitor and ``repro campaign
-watch``) never see a torn beat, and the files live *outside* the store, so
-they can never corrupt the append-only result log.
+through the one telemetry sink (:func:`repro.obs.trace.write_record`).
+The worker id — hostname plus pid — keeps workers on different hosts
+sharing one store apart even when their pids coincide.  A sample carries
+the worker id, host, pid, current phase (``point`` / ``idle`` /
+``stopped``), the point id it is working on, how long that point has been
+running, its instantaneous RSS, its registry counter totals when
+observability is on, and the run's progress counters (done, failed,
+retried, skipped, cache, stalls, stragglers, lease claims, health, trace
+id).  Each tick also flushes the sampling profiler's delta, when one runs.
 
-The emitter is deliberately boring: pure stdlib, one thread, exceptions
-swallowed and counted (``campaign.heartbeat_errors``), and a no-op when
-never started.  Coordinator-side analysis (stall/straggler classification)
-lives in ``repro.campaign.executor``.
+The sampler is deliberately boring: pure stdlib, one thread, exceptions
+swallowed and counted (``campaign.heartbeat_errors``).  Readers —
+``repro campaign watch``, job polling, the SLO evaluation — go through
+:class:`repro.obs.trace.LogReader`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from repro.obs import profile as _profile
 from repro.obs import resources as _resources
 from repro.obs import spans as _spans
+from repro.obs import trace as _trace
 
 __all__ = [
-    "HEARTBEAT_VERSION",
+    "SAMPLE_VERSION",
+    "Sampler",
     "beat_age",
     "beat_worker",
-    "ensure_emitter",
     "heartbeat_dir",
     "host_name",
     "point_finished",
     "point_started",
-    "read_heartbeats",
-    "stop_emitter",
     "worker_id",
 ]
 
-HEARTBEAT_VERSION = 2
+SAMPLE_VERSION = 3
 
 
 def heartbeat_dir(store_path: str | Path) -> Path:
-    """The per-run heartbeat directory for a result store path."""
+    """Where heartbeat files lived before samples moved into the telemetry
+    log; nothing writes or reads it now (kept for tools that list a
+    store's sidecars)."""
     return Path(str(store_path) + ".heartbeats")
 
 
@@ -76,14 +77,14 @@ def worker_id(pid: int | None = None, host: str | None = None) -> str:
 
     Bare pids collide across hosts sharing one store; hostname+pid cannot
     (two workers on one host have distinct pids, two hosts have distinct
-    names).  Used as the heartbeat filename, the shard-store name, the
-    lease owner, and the liveness-monitor key.
+    names).  Used as the telemetry log's name, the shard-store name and
+    the lease owner.
     """
     return f"{host or host_name()}-{os.getpid() if pid is None else int(pid)}"
 
 
 def beat_worker(beat: dict[str, Any]) -> str:
-    """The worker id a beat belongs to (reconstructed for v1 beats)."""
+    """The worker id a sample (or an older heartbeat) belongs to."""
     worker = beat.get("worker")
     if isinstance(worker, str) and worker:
         return worker
@@ -91,12 +92,11 @@ def beat_worker(beat: dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-process worker state (what the emitter samples)
+# Per-process worker state (what the sampler reports)
 # ---------------------------------------------------------------------------
 
 _lock = threading.Lock()
-_state: dict[str, Any] = {"phase": "idle", "point_id": None, "started": None, "done": 0}
-_emitter: _Emitter | None = None
+_state: dict[str, Any] = {"phase": "idle", "point_id": None, "started": None}
 
 
 def point_started(point_id: str) -> None:
@@ -113,151 +113,101 @@ def point_finished() -> None:
         _state["phase"] = "idle"
         _state["point_id"] = None
         _state["started"] = None
-        _state["done"] = int(_state["done"]) + 1
 
 
-def _sample(phase: str | None = None) -> dict[str, Any]:
-    now = time.time()
-    with _lock:
-        state = dict(_state)
-    host = host_name()
-    beat: dict[str, Any] = {
-        "kind": "heartbeat",
-        "version": HEARTBEAT_VERSION,
-        "pid": os.getpid(),
-        "host": host,
-        "worker": worker_id(host=host),
-        "time": now,
-        "phase": phase if phase is not None else state["phase"],
-        "point_id": state["point_id"],
-        "points_done": state["done"],
-        "rss_bytes": _resources.current_rss_bytes(),
-    }
-    if state["started"] is not None:
-        beat["point_elapsed"] = max(now - float(state["started"]), 0.0)
-    if _spans.enabled():
-        snap = _spans.snapshot()
-        counters = {
-            bucket["name"]: bucket["value"]
-            for bucket in snap.get("counters", {}).values()
-        }
-        if counters:
-            beat["counters"] = counters
-    return beat
+class Sampler:
+    """The run's one telemetry thread: a ``sample`` record every ``interval`` s.
 
+    ``fields`` is a zero-argument callable returning the run's progress
+    counters; the sampler adds this process's point state, RSS and
+    registry counters, and ``kind``/``version``/``run``/``seq``/``time``
+    around it.  ``run`` is a fresh token per sampler, so a process that
+    runs twice (a resume in the same process) is two series to
+    :func:`repro.obs.trace.run_series`.  Every failure (``fields``
+    raising, serialisation, I/O) is swallowed and counted in
+    :attr:`errors` plus the ``campaign.heartbeat_errors`` obs counter.
+    """
 
-def _write_atomic(directory: Path, beat: dict[str, Any]) -> None:
-    name = beat.get("worker") or str(beat["pid"])
-    tmp = directory / f".{name}.tmp"
-    tmp.write_text(json.dumps(beat, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, directory / f"{name}.json")
-
-
-class _Emitter:
-    """Daemon thread rewriting this process's beat file every ``interval`` s."""
-
-    def __init__(self, directory: Path, interval: float) -> None:
-        self.directory = Path(directory)
+    def __init__(
+        self,
+        log: str | Path,
+        fields: Callable[[], dict[str, Any]],
+        interval: float,
+        worker: str | None = None,
+    ) -> None:
+        self.log = Path(log)
+        self.fields = fields
         self.interval = float(interval)
+        self.worker = worker or worker_id()
         self.errors = 0
+        self._run = os.urandom(4).hex()
+        self._seq = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(
-            target=self._run, name="repro-heartbeat", daemon=True
+            target=self._loop, name="repro-sampler", daemon=True
         )
 
-    def start(self) -> None:
-        self._beat()  # immediate first beat so the coordinator sees us early
-        self._thread.start()
+    def _sample(self, phase: str | None) -> dict[str, Any]:
+        now = time.time()
+        with _lock:
+            state = dict(_state)
+        record: dict[str, Any] = {
+            "kind": _trace.SAMPLE_KIND,
+            "version": SAMPLE_VERSION,
+            "run": self._run,
+            "seq": self._seq,
+            "time": now,
+            "pid": os.getpid(),
+            "host": host_name(),
+            "worker": self.worker,
+            "phase": phase if phase is not None else state["phase"],
+            "point_id": state["point_id"],
+            "rss_bytes": _resources.current_rss_bytes(),
+        }
+        if state["started"] is not None:
+            record["point_elapsed"] = max(now - float(state["started"]), 0.0)
+        if _spans.enabled():
+            counters = {
+                bucket["name"]: bucket["value"]
+                for bucket in _spans.snapshot().get("counters", {}).values()
+            }
+            if counters:
+                record["counters"] = counters
+        record.update(self.fields())
+        return record
 
-    def _beat(self, phase: str | None = None) -> None:
+    def _tick(self, phase: str | None = None) -> None:
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            _write_atomic(self.directory, _sample(phase))
+            written = _trace.write_record(self._sample(phase), self.log)
         except Exception:
+            written = False
+        if written:
+            self._seq += 1
+        else:
             self.errors += 1
             _spans.add("campaign.heartbeat_errors")
+        _profile.flush()
 
-    def _run(self) -> None:
+    def _loop(self) -> None:
         while not self._stop.wait(self.interval):
-            self._beat()
+            self._tick()
 
-    def stop(self) -> None:
+    def start(self) -> None:
+        """Write the first sample at once, then one per interval."""
+        self._tick()
+        self._thread.start()
+
+    def stop(self) -> int:
+        """Stop the thread and write a final ``stopped`` sample; returns
+        the swallowed-error count."""
         self._stop.set()
         self._thread.join(timeout=self.interval + 1.0)
-        self._beat(phase="stopped")
+        self._tick(phase="stopped")
+        return self.errors
 
 
-def ensure_emitter(directory: str | Path, interval: float) -> None:
-    """Start this process's heartbeat emitter (idempotent per directory).
-
-    Called by every lease worker and by the serial path.  A second call
-    with the same directory is a no-op; a different directory stops the
-    old emitter first.
-    """
-    global _emitter
-    directory = Path(directory)
-    with _lock:
-        current = _emitter
-    if current is not None:
-        alive = current._thread.is_alive()
-        if alive and current.directory == directory:
-            return
-        # A forked worker inherits the parent's emitter object but not its
-        # thread; a dead emitter is simply replaced (never "stopped", which
-        # would write a misleading final beat under the child's pid).
-        if alive:
-            current.stop()
-    emitter = _Emitter(directory, interval)
-    with _lock:
-        _emitter = emitter
-    emitter.start()
-
-
-def stop_emitter() -> int:
-    """Stop this process's emitter (writing a final ``stopped`` beat).
-
-    Returns the emitter's swallowed-error count (0 when never started).
-    """
-    global _emitter
-    with _lock:
-        emitter = _emitter
-        _emitter = None
-    if emitter is None:
-        return 0
-    emitter.stop()
-    return emitter.errors
-
-
-# ---------------------------------------------------------------------------
-# Readers (coordinator + watch dashboard)
-# ---------------------------------------------------------------------------
-
-
-def read_heartbeats(directory: str | Path) -> list[dict[str, Any]]:
-    """All parseable beats in ``directory``, sorted by (host, pid).
-
-    Tolerant by construction: a missing directory yields ``[]``, and a
-    file that cannot be parsed (e.g. mid-replace on a non-atomic
-    filesystem) is skipped rather than raised on.
-    """
-    directory = Path(directory)
-    beats: list[dict[str, Any]] = []
-    try:
-        paths = sorted(directory.glob("*.json"))
-    except OSError:
-        return beats
-    for path in paths:
-        try:
-            beat = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if isinstance(beat, dict) and beat.get("kind") == "heartbeat":
-            beats.append(beat)
-    return sorted(beats, key=lambda b: (str(b.get("host", "")), b.get("pid", 0)))
-
-
-def beat_age(beat: dict[str, Any], now: float | None = None) -> float:
-    """Seconds since the beat was written (clamped at 0)."""
+def beat_age(sample: dict[str, Any], now: float | None = None) -> float:
+    """Seconds since the sample was written (clamped at 0)."""
     if now is None:
         now = time.time()
-    return max(now - float(beat.get("time", now)), 0.0)
+    return max(now - float(sample.get("time", now)), 0.0)

@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.obs import resources as _resources
 from repro.obs import spans as _spans
-from repro.obs import stream as _stream
+from repro.obs import profile as _profile
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -124,7 +124,7 @@ def environment_info() -> dict[str, Any]:
         "platform": platform.platform(),
         "obs": {
             "enabled": _spans.enabled(),
-            "stream": _stream.stream_requested(),
+            "profile": _profile.profile_requested(),
             "mem": _resources.tracemalloc_requested(),
         },
     }

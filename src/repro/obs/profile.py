@@ -29,12 +29,12 @@ with no profiler running, :func:`active` is a single module-global
 attribute read and nothing else in this module executes.
 
 Stacks fold into bounded ``(span path, frame stack)`` buckets (collapsed
--stack style, root first).  Per-worker shards land under
-``<store>.profile/`` — the sibling-directory convention of
-``<store>.trace/`` — written atomically (temp + ``os.replace``) so a
-reader can never observe a torn shard.  The collector merges shards and
-emits collapsed text (``frameA;frameB count``) or a self-contained
-d3-flamegraph HTML page.
+-stack style, root first).  :func:`flush` appends what was sampled since
+the last flush, as one ``profile`` record, to a telemetry log through the
+trace sink: a campaign worker's ``<store>.trace/<worker>.jsonl`` or a
+server's ``--trace-log``.  The collector merges the deltas
+(:func:`merge_profiles`) and emits collapsed text (``frameA;frameB
+count``) or a self-contained d3-flamegraph HTML page.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro._errors import ValidationError
 from repro.obs import spans as _spans
@@ -64,13 +64,10 @@ __all__ = [
     "close_sink",
     "configure_sink",
     "flush",
-    "load_store_profiles",
-    "maybe_flush",
     "merge_profiles",
     "profile_delta",
     "profile_dir",
     "profile_requested",
-    "read_profile",
     "requested_hz",
     "sink_configured",
     "start",
@@ -94,14 +91,12 @@ MAX_BUCKETS = 5000
 #: Distinct trace ids remembered per bucket.
 MAX_TRACE_IDS = 8
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 _OWN_FILE = __file__
 
 
 def profile_requested() -> bool:
-    """Whether ``REPRO_OBS_PROFILE`` asks for always-on sampling."""
-    return os.environ.get("REPRO_OBS_PROFILE", "").strip().lower() in _TRUTHY
+    """Whether ``REPRO_OBS=profile`` asks for always-on sampling."""
+    return os.environ.get("REPRO_OBS", "").strip().lower() == "profile"
 
 
 def requested_hz(default: int = DEFAULT_HZ) -> int:
@@ -274,16 +269,12 @@ class Profiler:
         """Picklable, JSON-safe profile dict (safe to call mid-sampling)."""
         from repro.obs import heartbeat as _hb
 
-        items: list[tuple[tuple[str, str], int, dict[str, int]]] = []
-        for _attempt in range(4):
-            try:
-                items = [
-                    (key, bucket[0], dict(bucket[1]))
-                    for key, bucket in self._buckets.items()
-                ]
-                break
-            except RuntimeError:  # dict mutated by a concurrent sample tick
-                continue
+        # list() and dict() copy in one C call each, so a sample tick on
+        # another thread cannot mutate them mid-copy.
+        items = [
+            (key, bucket[0], dict(bucket[1]))
+            for key, bucket in list(self._buckets.items())
+        ]
         items.sort(key=lambda entry: (-entry[1], entry[0]))
         return {
             "kind": "profile",
@@ -346,12 +337,7 @@ def stop() -> dict[str, Any] | None:
         return None
     _active = None
     profile = profiler.stop()
-    path = _sink_path
-    if path is not None:
-        try:
-            _write_profile(path, profile)
-        except OSError:
-            pass
+    _flush(lambda: profile)
     return profile
 
 
@@ -389,34 +375,29 @@ def capture(
 
 
 # ---------------------------------------------------------------------------
-# Shard sink: <store>.profile/<worker>.json, rewritten atomically.
+# Sink: deltas appended to a telemetry log through the trace sink.
 # ---------------------------------------------------------------------------
 
 _sink_path: Path | None = None
-_last_flush = 0.0
+_flushed: dict[str, Any] | None = None  # the snapshot the last flush covered
+_flush_lock = threading.Lock()
 
 
 def profile_dir(store_path: str | Path) -> Path:
-    """Sibling directory holding per-worker profile shards."""
+    """Where profile shards lived before deltas moved into the telemetry
+    log; nothing writes or reads it now (kept for tools that list a
+    store's sidecars)."""
     store = Path(store_path)
     return store.parent / (store.name + ".profile")
 
 
-def configure_sink(target: str | Path, worker: str | None = None) -> Path:
-    """Point periodic profile flushes at ``target`` (dir or ``.json`` file)."""
-    global _sink_path
-    target = Path(target)
-    if target.suffix == ".json":
-        path = target
-    else:
-        if worker is None:
-            from repro.obs import heartbeat as _hb
-
-            worker = _hb.worker_id()
-        path = target / f"{worker}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _sink_path = path
-    return path
+def configure_sink(path: str | Path) -> Path:
+    """Append the profile's deltas to the telemetry log at ``path``."""
+    global _sink_path, _flushed
+    with _flush_lock:
+        _sink_path = Path(path)
+        _flushed = None
+    return _sink_path
 
 
 def sink_configured() -> bool:
@@ -425,70 +406,57 @@ def sink_configured() -> bool:
 
 def close_sink() -> None:
     """Final flush, then detach the sink."""
-    global _sink_path
+    global _sink_path, _flushed
     flush()
-    _sink_path = None
+    with _flush_lock:
+        _sink_path = None
+        _flushed = None
 
 
-def _write_profile(path: Path, profile: Mapping[str, Any]) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(profile, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+def _flush(take: Callable[[], Mapping[str, Any]]) -> None:
+    """Append what the snapshot ``take()`` returns adds to the last flushed
+    one: always on the first flush (the log then shows the profiler ran),
+    then when nonempty.  The snapshot is taken under the lock, so flushes
+    from two threads never go back in time."""
+    global _flushed
+    with _flush_lock:
+        if _sink_path is None:
+            return
+        snapshot = take()
+        delta = profile_delta(_flushed or {}, snapshot)
+        empty = _flushed is not None and not (delta["samples"] or delta["stacks"])
+        if not empty and not _trace.write_record(delta, _sink_path):
+            return  # keep the samples for the next flush
+        _flushed = dict(snapshot)
 
 
 def flush() -> None:
-    """Rewrite the sink shard with the current cumulative profile."""
-    global _last_flush
-    profiler, path = _active, _sink_path
-    if profiler is None or path is None:
-        return
-    try:
-        _write_profile(path, profiler.snapshot())
-    except OSError:
-        pass  # a full disk must never take down the profiled work
-    _last_flush = time.monotonic()
+    """Append the samples taken since the last flush to the sink's log."""
+    profiler = _active
+    if profiler is not None and _sink_path is not None:
+        _flush(profiler.snapshot)
 
 
-def maybe_flush(min_interval: float = 1.0) -> None:
-    """Flush unless a flush happened within ``min_interval`` seconds."""
-    if _active is None or _sink_path is None:
-        return
-    if time.monotonic() - _last_flush >= min_interval:
-        flush()
+def _forget_profiler() -> None:
+    """In a forked child: no profiler (its timer does not survive fork) and
+    no sink, so the child never flushes its copy of the parent's samples."""
+    global _active, _sink_path, _flushed, _flush_lock
+    _active = _sink_path = _flushed = None
+    _flush_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_profiler)
 
 
 # ---------------------------------------------------------------------------
-# Readers / merge / delta
+# Merge / delta
 # ---------------------------------------------------------------------------
-
-
-def read_profile(path: str | Path) -> dict[str, Any] | None:
-    """Load one shard; ``None`` on missing/torn/foreign files."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, Mapping) or data.get("kind") != "profile":
-        return None
-    return dict(data)
-
-
-def load_store_profiles(store_path: str | Path) -> list[dict[str, Any]]:
-    """Every readable shard under ``<store>.profile/``, sorted by name."""
-    out: list[dict[str, Any]] = []
-    try:
-        paths = sorted(profile_dir(store_path).glob("*.json"))
-    except OSError:
-        return out
-    for path in paths:
-        profile = read_profile(path)
-        if profile is not None:
-            out.append(profile)
-    return out
 
 
 def merge_profiles(profiles: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Merge shards: counts sum by ``(span, stack)``, trace ids dedup."""
+    """Merge profiles or deltas: counts sum by ``(span, stack)``, trace ids
+    dedup."""
     buckets: dict[tuple[str, str], list] = {}
     samples = dropped = 0
     workers: set[str] = set()

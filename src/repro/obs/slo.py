@@ -17,8 +17,8 @@ momentary blip from paging anyone.
 Three SLI kinds, all computed from data the layer already collects:
 
 * ``error_ratio`` — cumulative bad/total counters summed from named
-  fields of stream samples (``failed`` vs ``done + failed``) or serve
-  monitor samples (``failures`` vs ``requests``).
+  fields of a campaign's run-wide samples (``failed`` vs ``done +
+  failed``) or serve monitor samples (``failures`` vs ``requests``).
 * ``latency`` — good events are observations at or under a threshold,
   estimated from the decade histograms by log-interpolation inside the
   containing decade (consistent with
@@ -317,7 +317,7 @@ def _health_bad_count(sample: Mapping[str, Any], min_severity: str) -> float:
 
 
 def _sample_point(sli: SLISpec, sample: Mapping[str, Any]) -> tuple[float, float]:
-    """Cumulative ``(bad, total)`` of one stream/monitor sample."""
+    """Cumulative ``(bad, total)`` of one run-wide or monitor sample."""
     if sli.kind == "error_ratio":
         return _sum_fields(sample, sli.bad), _sum_fields(sample, sli.total)
     if sli.kind == "health_events":
@@ -413,7 +413,7 @@ def evaluate_slos(
 ) -> dict[str, Any]:
     """Evaluate every SLO; returns ``{"slos": [...], "breach": bool}``.
 
-    ``samples`` are ``(unix_time, sample_dict)`` pairs (stream samples or
+    ``samples`` are ``(unix_time, sample_dict)`` pairs (campaign run-wide samples or
     serve monitor samples); ``snapshots`` are ``(unix_time, registry
     snapshot)`` pairs for latency SLIs.  Breaches emit ``obs.slo.burn``
     health events when observability is enabled (and ``emit_events``).
@@ -489,22 +489,26 @@ def evaluate_store(
     definitions: Sequence[SLODefinition] | None = None,
     *,
     now: float | None = None,
+    log: Any = None,
 ) -> dict[str, Any]:
-    """Evaluate SLOs over a campaign store's stream samples.
+    """Evaluate SLOs over a campaign store's run-wide sample series.
 
-    Falls back to one synthetic sample built from the merged store status
-    when the run streamed nothing — enough for the clamped single-window
-    evaluation a CI gate needs.
+    The series sums every worker's latest cumulative sample at each time
+    (:func:`repro.obs.trace.run_series`); ``log`` is a refreshed
+    :class:`~repro.obs.trace.LogReader` to reuse (``campaign watch`` keeps
+    one).  Falls back to one synthetic sample built from the merged store
+    status when the store has no samples — enough for the clamped
+    single-window evaluation a CI gate needs.
     """
-    from repro.obs import stream as _stream
+    from repro.obs.trace import LogReader
 
     store_path = Path(store_path)
     definitions = list(definitions) if definitions else default_campaign_slos()
-    samples: list[tuple[float, Mapping[str, Any]]] = []
-    for sample in _stream.read_stream(_stream.stream_path(store_path)):
-        t = sample.get("time")
-        if isinstance(t, (int, float)):
-            samples.append((float(t), sample))
+    if log is None:
+        log = LogReader(store_path).refresh()
+    samples: list[tuple[float, Mapping[str, Any]]] = [
+        (point["time"], point) for point in log.series()
+    ]
     if not samples:
         from repro.campaign.store import ResultStore
 

@@ -11,7 +11,8 @@ below 2% on the grid-evaluation hot path
 Enabling
 --------
 Set ``REPRO_OBS=1`` in the environment before the process starts, or call
-:func:`enable` / :func:`disable` at runtime.  ``REPRO_OBS_EXPORT=path``
+:func:`enable` / :func:`disable` at runtime; ``REPRO_OBS=profile`` also
+runs the sampling profiler in every campaign worker (:mod:`repro.obs.profile`).  ``REPRO_OBS_EXPORT=path``
 additionally dumps the final registry snapshot as JSON at interpreter exit
 (handy for benchmarks and one-shot scripts).
 
@@ -65,9 +66,10 @@ __all__ = [
     "span",
 ]
 
-_TRUTHY = {"1", "true", "yes", "on"}
+#: ``REPRO_OBS`` values that turn the layer on (``profile`` adds the profiler).
+_LEVELS = {"1", "true", "yes", "on", "profile"}
 
-_enabled: bool = os.environ.get("REPRO_OBS", "").strip().lower() in _TRUTHY
+_enabled: bool = os.environ.get("REPRO_OBS", "").strip().lower() in _LEVELS
 _registry = ObsRegistry()
 _local = threading.local()
 _hooks: list[Callable[[dict[str, Any]], None]] = []

@@ -1,136 +1,17 @@
-"""Streaming metrics: periodic JSONL time-series snapshots of a live run.
+"""Where the streaming-metrics file lived before samples moved into the
+telemetry log (:mod:`repro.obs.heartbeat`, :mod:`repro.obs.trace`).
 
-The observability registry (PR 3) aggregates over a run's *lifetime* —
-useful after the fact, blind during.  The stream emitter turns it into a
-time-series: a daemon thread on the campaign coordinator appends one JSON
-line every ``stream_interval`` seconds to
-
-    <store>.stream.jsonl          (or an explicit ``stream_path=``)
-
-Each line is a coordinator-side sample: sequence number, wall time, run
-elapsed, telemetry progress counters (done / failed / pending), cache hit
-totals, per-severity health counts, and worker liveness flags.  Plot it,
-tail it, or feed it to ``repro campaign watch`` for a live ETA.
-
-Opt-in: set ``REPRO_OBS_STREAM=1`` or pass ``stream_path=`` to
-``run_campaign`` / ``resume_campaign``.  The emitter never touches the
-result store's file handle, appends whole lines only, and swallows +
-counts its own exceptions (``campaign.stream_errors``) — a full disk on
-the stream path degrades the time-series, never the campaign.
+Nothing writes or reads it now; :func:`stream_path` stays for tools that
+list a store's sidecars.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import time
 from pathlib import Path
-from typing import Any, Callable
 
-from repro.obs import spans as _spans
-
-__all__ = [
-    "STREAM_VERSION",
-    "StreamEmitter",
-    "read_stream",
-    "stream_path",
-    "stream_requested",
-]
-
-STREAM_VERSION = 1
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def stream_requested() -> bool:
-    """Whether streaming is requested via the ``REPRO_OBS_STREAM`` env switch."""
-    return os.environ.get("REPRO_OBS_STREAM", "").strip().lower() in _TRUTHY
+__all__ = ["stream_path"]
 
 
 def stream_path(store_path: str | Path) -> Path:
-    """The default stream file for a result store path."""
+    """The old stream file of a result store path."""
     return Path(str(store_path) + ".stream.jsonl")
-
-
-class StreamEmitter:
-    """Background thread appending periodic samples as JSONL.
-
-    ``sample`` is a zero-argument callable returning a JSON-serialisable
-    dict; the emitter injects ``kind``/``version``/``seq``/``time`` around
-    it.  Every failure path (sample raising, serialisation, I/O) is
-    swallowed and counted in :attr:`errors` plus the
-    ``campaign.stream_errors`` obs counter — the observed run must never
-    be harmed by its observer.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        sample: Callable[[], dict[str, Any]],
-        interval: float = 1.0,
-    ) -> None:
-        self.path = Path(path)
-        self.sample = sample
-        self.interval = float(interval)
-        self.errors = 0
-        self._seq = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-stream", daemon=True
-        )
-
-    def _emit(self) -> None:
-        try:
-            record = dict(self.sample())
-            record.setdefault("kind", "stream")
-            record.setdefault("version", STREAM_VERSION)
-            record["seq"] = self._seq
-            record["time"] = time.time()
-            line = json.dumps(record, sort_keys=True, default=str)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-            self._seq += 1
-        except Exception:
-            self.errors += 1
-            _spans.add("campaign.stream_errors")
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._emit()
-
-    def start(self) -> None:
-        self._emit()  # t=0 sample so even sub-interval runs leave a timeline
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the thread and write one final sample (the run's end state)."""
-        self._stop.set()
-        self._thread.join(timeout=self.interval + 1.0)
-        self._emit()
-
-
-def read_stream(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a stream JSONL file, skipping undecodable (torn) lines.
-
-    Mirrors the result store's torn-tail tolerance: a SIGKILL can land
-    mid-append, so the reader treats any malformed line as absent.
-    """
-    path = Path(path)
-    records: list[dict[str, Any]] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records

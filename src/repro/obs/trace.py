@@ -1,29 +1,39 @@
-"""Distributed trace context threaded through serve, campaigns, and lease workers.
+"""Distributed trace context, and the one telemetry log each worker writes.
 
 The model follows the W3C Trace Context recommendation in miniature: a
 ``traceparent`` header of the form ``00-<32 hex trace_id>-<16 hex span_id>-<2
 hex flags>`` names one position in a trace tree.  ``repro.serve`` accepts and
 emits the header, the campaign executor stamps the context into the store
 manifest, and lease workers inherit it through the frozen lease plan, so
-every point record, stream sample, and health event produced on any host can
-be joined back to the originating request by ``trace_id``.
+every point record, sample, and health event produced on any host can be
+joined back to the originating request by ``trace_id``.
 
-Span *events* (as opposed to the aggregate-only :mod:`repro.obs.registry`)
-are appended to per-worker JSONL shards under ``<store>.trace/`` — the same
-sibling-directory convention as ``<store>.shards/`` and
-``<store>.heartbeats/``.  Each event is written with a single ``write()`` of
-one full line so concurrent readers only ever observe a torn *tail*, which
-:func:`read_trace_events` tolerates.
+Every telemetry record goes through one sink, :func:`write_record`: one
+JSONL log per worker process under ``<store>.trace/`` (the same
+sibling-directory convention as ``<store>.shards/``), or one file for the
+serve process.  Each record is written with a single ``write()`` of one
+full line, so concurrent readers only ever observe a torn *tail*.  A log
+holds three kinds of record:
+
+* ``trace_span`` — span events (:func:`record_event`), as opposed to the
+  aggregate-only :mod:`repro.obs.registry`;
+* ``sample`` — the worker's liveness and progress, one per heartbeat
+  interval (:class:`repro.obs.heartbeat.Sampler`);
+* ``profile`` — the sampling profiler's deltas (:mod:`repro.obs.profile`).
+
+:class:`LogReader` reads them all back with one tail-following pass, and
+``campaign watch``, job polling, the SLO evaluation and the collectors are
+views over it.
 
 Everything here honours the PR-3 invariant: when no sink is configured and no
 context is active, every recording entry point is a cheap early return — no
 allocation, no I/O, no time syscalls.
 
-The collector (:func:`build_chrome_trace`) merges trace shards, a serve-side
-span log, heartbeats, and stream samples into one Chrome Trace Event Format
-document with one process lane per host and one thread lane per worker, plus
-a critical-path summary splitting wall time into queue wait, evaluation,
-spill, and lease-reclaim buckets.
+The collector (:func:`build_chrome_trace`) merges a store's logs and a
+serve-side log into one Chrome Trace Event Format document with one process
+lane per host and one thread lane per worker, plus a critical-path summary
+splitting wall time into queue wait, evaluation, spill, and lease-reclaim
+buckets.
 """
 from __future__ import annotations
 
@@ -35,6 +45,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+from repro._tail import LineTail
 
 __all__ = [
     "TraceContext",
@@ -50,12 +62,14 @@ __all__ = [
     "campaign_context",
     "context_or_campaign",
     "trace_dir",
+    "log_path",
     "configure_sink",
     "sink_configured",
     "close_sink",
+    "write_record",
     "record_event",
-    "read_trace_events",
-    "load_store_events",
+    "LogReader",
+    "run_series",
     "build_chrome_trace",
     "critical_path_summary",
     "format_critical_path",
@@ -228,8 +242,8 @@ def context_or_campaign() -> TraceContext | None:
 
 
 # ---------------------------------------------------------------------------
-# Span-event sink: one JSONL shard per worker under <store>.trace/ (or an
-# explicit file for the serve process).  Free when not configured.
+# The telemetry sink: one JSONL log per worker process under <store>.trace/
+# (or an explicit file for the serve process).  Free when not configured.
 # ---------------------------------------------------------------------------
 
 _sink_path: Path | None = None
@@ -237,48 +251,44 @@ _sink_lock = threading.Lock()
 _sink_meta: dict[str, Any] = {}
 
 TRACE_EVENT_KIND = "trace_span"
+SAMPLE_KIND = "sample"
+PROFILE_KIND = "profile"
 
 
 def trace_dir(store_path: str | Path) -> Path:
-    """Sibling directory holding per-worker trace-event shards."""
+    """Sibling directory holding the per-worker telemetry logs."""
     store = Path(store_path)
     return store.parent / (store.name + ".trace")
+
+
+def log_path(store_path: str | Path, worker: str | None = None) -> Path:
+    """This worker's telemetry log for a store: ``<store>.trace/<worker>.jsonl``."""
+    if worker is None:
+        from . import heartbeat as _hb
+
+        worker = _hb.worker_id()
+    return trace_dir(store_path) / f"{worker}.jsonl"
 
 
 def configure_sink(target: str | Path, worker: str | None = None) -> Path:
     """Point span-event recording at ``target``.
 
-    ``target`` may be a directory (a per-worker shard ``<worker>.jsonl`` is
+    ``target`` may be a directory (a per-worker log ``<worker>.jsonl`` is
     created inside it) or an explicit ``.jsonl``/``.json`` file path (the
     serve process logs to a single file).  Returns the resolved file path.
     """
+    from . import heartbeat as _hb
+
     global _sink_path
     target = Path(target)
-    if target.suffix in (".jsonl", ".json"):
-        path = target
-        path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        target.mkdir(parents=True, exist_ok=True)
-        if worker is None:
-            from . import heartbeat as _hb
-
-            worker = _hb.worker_id()
-        path = target / f"{worker}.jsonl"
+    worker = worker or _hb.worker_id()
+    path = target if target.suffix in (".jsonl", ".json") else target / f"{worker}.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with _sink_lock:
         _sink_path = path
         _sink_meta.clear()
-        _sink_meta.update(_worker_identity(worker))
+        _sink_meta.update(host=_hb.host_name(), worker=worker, pid=os.getpid())
     return path
-
-
-def _worker_identity(worker: str | None) -> dict[str, Any]:
-    from . import heartbeat as _hb
-
-    return {
-        "host": _hb.host_name(),
-        "worker": worker or _hb.worker_id(),
-        "pid": os.getpid(),
-    }
 
 
 def sink_configured() -> bool:
@@ -290,6 +300,45 @@ def close_sink() -> None:
     with _sink_lock:
         _sink_path = None
         _sink_meta.clear()
+
+
+def _forget_sink() -> None:
+    """In a forked child: no sink, and a lock no parent thread can hold."""
+    global _sink_path, _sink_lock
+    _sink_path = None
+    _sink_lock = threading.Lock()
+    _sink_meta.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked worker writes its own log, never its parent's.
+    os.register_at_fork(after_in_child=_forget_sink)
+
+
+def write_record(record: Mapping[str, Any], path: str | Path | None = None) -> bool:
+    """Append ``record`` as one whole line to ``path`` (default: the sink).
+
+    The one writer of every telemetry log: a single ``write()`` of a full
+    line, so a concurrent reader only ever sees a torn *tail*.  Returns
+    ``False`` when there is nowhere to write or the write failed — telemetry
+    must never take down the work it observes.
+    """
+    target = _sink_path if path is None else path
+    if target is None:
+        return False
+    line = json.dumps(record, sort_keys=True, default=str) + "\n"
+    try:
+        with _sink_lock:
+            try:
+                handle = open(target, "a", encoding="utf-8")
+            except FileNotFoundError:
+                Path(target).parent.mkdir(parents=True, exist_ok=True)
+                handle = open(target, "a", encoding="utf-8")
+            with handle:
+                handle.write(line)
+    except OSError:
+        return False
+    return True
 
 
 def record_event(
@@ -305,11 +354,9 @@ def record_event(
     """Append one span event to the configured sink.
 
     No-op (single attribute read) when no sink is configured or no context is
-    supplied, which keeps untraced hot paths free.  Write failures are
-    swallowed — tracing must never take down the work it observes.
+    supplied, which keeps untraced hot paths free.
     """
-    path = _sink_path
-    if path is None or ctx is None:
+    if _sink_path is None or ctx is None:
         return
     event: dict[str, Any] = {
         "kind": TRACE_EVENT_KIND,
@@ -327,55 +374,142 @@ def record_event(
         event["links"] = [dict(link) for link in links]
     if attrs:
         event["attrs"] = attrs
-    line = json.dumps(event, sort_keys=True, default=str) + "\n"
-    try:
-        with _sink_lock:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-    except OSError:
-        pass
+    write_record(event)
 
 
 # ---------------------------------------------------------------------------
-# Readers (torn-tail tolerant, like obs.stream / the result store).
+# The reader: one tail-following pass over every log, shared by the views
+# (campaign watch, job polling, the SLO evaluation, trace and profile merge).
 # ---------------------------------------------------------------------------
 
+#: Numeric sample fields that describe one record, not work done.
+_SAMPLE_IDENTITY = frozenset({"time", "seq", "version", "pid", "point_elapsed"})
+#: Numeric sample fields every worker reports whole: the run keeps the largest.
+_SAMPLE_LARGEST = frozenset({"total", "skipped", "wall_seconds"})
 
-def read_trace_events(path: str | Path) -> list[dict[str, Any]]:
-    """Read one trace-event shard; unparsable lines are skipped.
 
-    A concurrent writer appends whole lines with single writes, so the only
-    expected corruption is a torn final line, but every line is defensively
-    parsed so one bad shard cannot block a cross-host merge.
+class _Log(LineTail):
+    """One log file's records so far, by kind."""
+
+    __slots__ = ("spans", "samples", "profiles")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clear()
+
+    def clear(self) -> None:
+        self.spans: list[dict[str, Any]] = []
+        self.samples: list[dict[str, Any]] = []
+        self.profiles: list[dict[str, Any]] = []
+
+
+class LogReader:
+    """Tail-following reader of telemetry logs.
+
+    Reads every log under ``trace_dir(store_path)`` plus the named ``logs``
+    (a server's ``--trace-log``).  :meth:`refresh` decodes only the
+    complete lines appended since the last refresh, so keep one instance
+    across frames; a line still being written waits for its newline, an
+    undecodable line is skipped, and a file that was replaced or shrank is
+    read again from byte 0.  ``decoded`` counts the lines decoded so far.
     """
-    path = Path(path)
-    events: list[dict[str, Any]] = []
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
+
+    def __init__(
+        self, store_path: str | Path | None = None, logs: Sequence[str | Path] = ()
+    ):
+        self.directory = trace_dir(store_path) if store_path is not None else None
+        self.logs = [Path(log) for log in logs]
+        self.decoded = 0
+        self._files: dict[Path, _Log] = {}
+
+    def refresh(self) -> "LogReader":
+        """Decode what every log gained; a log that has gone is dropped."""
+        paths = list(self.logs)
+        if self.directory is not None and self.directory.is_dir():
+            paths += sorted(self.directory.glob("*.jsonl"))
+        files: dict[Path, _Log] = {}
+        for path in paths:
+            log = self._files.get(path) or _Log()
+            try:
+                fresh, text = log.read(path)
+            except OSError:
+                continue
+            files[path] = log
+            if fresh:
+                log.clear()
+            for raw in text.splitlines():
+                if not raw.strip():
+                    continue
+                self.decoded += 1
+                try:
+                    record = json.loads(raw)
+                except ValueError:
+                    continue
+                kind = record.get("kind") if isinstance(record, dict) else None
+                if kind == TRACE_EVENT_KIND:
+                    log.spans.append(record)
+                elif kind == SAMPLE_KIND:
+                    log.samples.append(record)
+                elif kind == PROFILE_KIND:
+                    log.profiles.append(record)
+        self._files = files
+        return self
+
+    def spans(self) -> list[dict[str, Any]]:
+        """Every span event, ordered by start."""
+        events = [ev for log in self._files.values() for ev in log.spans]
+        events.sort(key=lambda ev: (ev.get("start", 0.0), ev.get("name", "")))
         return events
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(event, dict) and event.get("kind") == TRACE_EVENT_KIND:
-            events.append(event)
-    return events
+
+    def samples(self) -> list[dict[str, Any]]:
+        """Every sample record, each log's in the order written."""
+        return [s for log in self._files.values() for s in log.samples]
+
+    def profiles(self) -> list[dict[str, Any]]:
+        """Every profile delta (merge them with ``profile.merge_profiles``)."""
+        return [p for log in self._files.values() for p in log.profiles]
+
+    def series(self) -> list[dict[str, Any]]:
+        """Run-wide counters over time: see :func:`run_series`."""
+        return run_series(self.samples())
 
 
-def load_store_events(store_path: str | Path) -> list[dict[str, Any]]:
-    """Merge every per-worker trace shard for a store, ordered by start."""
-    directory = trace_dir(store_path)
-    events: list[dict[str, Any]] = []
-    if directory.is_dir():
-        for shard in sorted(directory.glob("*.jsonl")):
-            events.extend(read_trace_events(shard))
-    events.sort(key=lambda ev: (ev.get("start", 0.0), ev.get("name", "")))
-    return events
+def run_series(samples: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
+    """Run-wide counters at each sample's time.
+
+    Each sample holds its own worker's cumulative counters, so the run's
+    value at time t is the sum over workers of each worker's latest sample
+    at or before t (a worker is one ``(worker, run)`` pair: a process that
+    runs twice counts from zero again).  Numeric fields and the numbers
+    inside mapping fields (``health``, ``counters``) add up; ``total``,
+    ``skipped`` and ``wall_seconds`` take the largest worker's value;
+    ``workers`` counts the series so far.
+    """
+    timed = sorted(
+        (s for s in samples if isinstance(s.get("time"), (int, float))),
+        key=lambda s: float(s["time"]),
+    )
+    latest: dict[tuple[Any, Any], Mapping[str, Any]] = {}
+    out: list[dict[str, Any]] = []
+    for sample in timed:
+        latest[(sample.get("worker"), sample.get("run"))] = sample
+        point: dict[str, Any] = {"time": float(sample["time"]), "workers": len(latest)}
+        for each in latest.values():
+            for key, value in each.items():
+                if key in _SAMPLE_IDENTITY or isinstance(value, bool):
+                    continue
+                if isinstance(value, (int, float)):
+                    if key in _SAMPLE_LARGEST:
+                        point[key] = max(point.get(key, value), value)
+                    else:
+                        point[key] = point.get(key, 0) + value
+                elif isinstance(value, Mapping):
+                    inner = point.setdefault(key, {})
+                    for name, n in value.items():
+                        if isinstance(n, (int, float)) and not isinstance(n, bool):
+                            inner[name] = inner.get(name, 0) + n
+        out.append(point)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,65 +605,27 @@ def format_critical_path(summary: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _collect_heartbeat_events(store_path: Path) -> list[dict[str, Any]]:
-    """Heartbeat files become instant events on the owning worker's lane."""
-    from . import heartbeat as _hb
-
-    beats = _hb.read_heartbeats(_hb.heartbeat_dir(store_path))
-    events = []
-    for beat in beats:
-        t = beat.get("time")
-        if not isinstance(t, (int, float)):
-            continue
-        events.append(
-            {
-                "kind": TRACE_EVENT_KIND,
-                "event": "instant",
-                "name": f"heartbeat/{beat.get('phase', '?')}",
-                "host": beat.get("host", "?"),
-                "worker": beat.get("worker", "?"),
-                "pid": beat.get("pid", 0),
-                "start": float(t),
-                "end": float(t),
-                "attrs": {
-                    "phase": beat.get("phase"),
-                    "done": beat.get("done"),
-                    "failed": beat.get("failed"),
-                },
-            }
-        )
-    return events
-
-
-def _collect_stream_counters(store_path: Path) -> list[dict[str, Any]]:
-    """Stream samples become Chrome counter events (progress over time)."""
-    from . import stream as _stream
-
-    path = _stream.stream_path(store_path)
-    if not Path(path).exists():
-        return []
-    counters = []
-    for sample in _stream.read_stream(path):
-        t = sample.get("time")
-        if not isinstance(t, (int, float)):
-            continue
-        counters.append(
-            {
-                "kind": TRACE_EVENT_KIND,
-                "event": "counter",
-                "name": "campaign.progress",
-                "host": sample.get("host", "?"),
-                "worker": sample.get("worker", sample.get("host", "?")),
-                "pid": sample.get("pid", 0),
-                "start": float(t),
-                "end": float(t),
-                "attrs": {
-                    "done": sample.get("done", 0),
-                    "failed": sample.get("failed", 0),
-                },
-            }
-        )
-    return counters
+def _sample_events(sample: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """A sample becomes a heartbeat instant and a ``campaign.progress``
+    counter on its worker's lane."""
+    lane = {
+        "kind": TRACE_EVENT_KIND,
+        "host": sample.get("host", "?"),
+        "worker": sample.get("worker", "?"),
+        "pid": sample.get("pid", 0),
+        "start": float(sample["time"]),
+        "end": float(sample["time"]),
+    }
+    progress = {"done": sample.get("done", 0), "failed": sample.get("failed", 0)}
+    return [
+        dict(
+            lane,
+            event="instant",
+            name=f"heartbeat/{sample.get('phase', '?')}",
+            attrs={"phase": sample.get("phase"), **progress},
+        ),
+        dict(lane, event="counter", name="campaign.progress", attrs=progress),
+    ]
 
 
 def build_chrome_trace(
@@ -539,7 +635,10 @@ def build_chrome_trace(
     events: Sequence[Mapping[str, Any]] | None = None,
     trace_id: str | None = None,
 ) -> dict[str, Any]:
-    """Merge trace shards + serve logs (+ heartbeats/stream) into one trace.
+    """Merge a store's logs and serve logs into one Chrome trace.
+
+    Span events become slices or instants; each sample becomes a heartbeat
+    instant and a ``campaign.progress`` counter.
 
     Lanes: each distinct host becomes a Chrome *process* (pid lane) and each
     worker within it a *thread* (tid lane), named via ``process_name`` /
@@ -547,16 +646,13 @@ def build_chrome_trace(
     document with two extra top-level keys: ``criticalPath`` (see
     :func:`critical_path_summary`) and ``traceIds``.
     """
-    merged: list[dict[str, Any]] = []
-    if events is not None:
-        merged.extend(dict(ev) for ev in events)
-    if store_path is not None:
-        store = Path(store_path)
-        merged.extend(load_store_events(store))
-        merged.extend(_collect_heartbeat_events(store))
-        merged.extend(_collect_stream_counters(store))
-    for log in serve_logs:
-        merged.extend(read_trace_events(log))
+    merged = [dict(ev) for ev in events or ()]
+    if store_path is not None or serve_logs:
+        log = LogReader(store_path, logs=serve_logs).refresh()
+        merged += log.spans()
+        for sample in log.samples():
+            if isinstance(sample.get("time"), (int, float)):
+                merged += _sample_events(sample)
     if trace_id is not None:
         merged = [
             ev

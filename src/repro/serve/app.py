@@ -111,7 +111,6 @@ class ServerConfig:
     trace_log: str | None = None  # span-event JSONL; enables trace recording
     profile: bool = False  # always-on statistical sampling profiler
     profile_hz: int = 97  # sampling rate for the always-on profiler
-    profile_log: str | None = None  # profile shard (.json file or directory)
     slo_spec: str | None = None  # SLO definitions JSON; None -> serve defaults
     slo_interval: float = 10.0  # seconds between SLO burn-rate samples
 
@@ -227,6 +226,7 @@ class AnalysisServer:
             thread_name_prefix="repro-serve",
         )
         self.batcher.executor = self._executor
+        log = None
         if self.config.trace_log:
             log = Path(self.config.trace_log)
             if log.suffix not in (".jsonl", ".json"):
@@ -240,8 +240,9 @@ class AnalysisServer:
             if obs_profile.active() is None:
                 obs_profile.start(hz=self.config.profile_hz)
                 self._own_profiler = True
-            if self.config.profile_log and not obs_profile.sink_configured():
-                obs_profile.configure_sink(self.config.profile_log)
+            # The server's profile deltas share its one log.
+            if log is not None and not obs_profile.sink_configured():
+                obs_profile.configure_sink(log)
                 self._own_profile_sink = True
         definitions = (
             obs_slo.load_slo_spec(self.config.slo_spec)
@@ -276,7 +277,7 @@ class AnalysisServer:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
         if self._own_profiler:
-            obs_profile.stop()  # flushes the final shard when a sink is set
+            obs_profile.stop()  # flushes the final delta when a sink is set
             self._own_profiler = False
         if self._own_profile_sink:
             obs_profile.close_sink()

@@ -5,7 +5,7 @@ request/response cycle.  When a ``/v1/stability_map`` request crosses the
 server's spill threshold, it becomes a *job*: the request's parameter grid
 is exactly a :class:`~repro.campaign.spec.CampaignSpec`, so the job **is**
 a campaign run — same executor, same append-only JSONL store, same
-streaming telemetry, same crash-safe resume.  The server returns ``202``
+telemetry log, same crash-safe resume.  The server returns ``202``
 with a job id immediately and the client polls ``GET /v1/jobs/<id>``.
 
 Two properties fall out of reusing the campaign machinery rather than
@@ -31,7 +31,6 @@ from repro.campaign.executor import resume_campaign, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.watch import poll_store
 from repro.obs import manifest as obs_manifest
-from repro.obs import stream as obs_stream
 from repro.obs import trace as obs_trace
 
 __all__ = ["JobManager", "job_id_for"]
@@ -152,24 +151,13 @@ class JobManager:
         store: Path,
         trace: "obs_trace.TraceContext | None" = None,
     ) -> None:
-        stream = obs_stream.stream_path(store)
+        # Progress polls read the samples each run appends to its store's
+        # telemetry log, whatever log this process writes its spans to.
         try:
             if store.exists():
-                resume_campaign(
-                    store,
-                    spec=spec,
-                    workers=self.workers,
-                    stream_path=stream,
-                    trace=trace,
-                )
+                resume_campaign(store, spec=spec, workers=self.workers, trace=trace)
             else:
-                run_campaign(
-                    spec,
-                    store,
-                    workers=self.workers,
-                    stream_path=stream,
-                    trace=trace,
-                )
+                run_campaign(spec, store, workers=self.workers, trace=trace)
         except Exception as exc:  # surfaced through status(), never raised
             with self._lock:
                 self._errors[job_id] = f"{type(exc).__name__}: {exc}"
@@ -213,8 +201,6 @@ class JobManager:
         """All jobs this directory knows about (running or not)."""
         out = []
         for path in sorted(self.jobs_dir.glob("*.jsonl")):
-            if path.name.endswith(".stream.jsonl"):
-                continue
             status = self.status(path.stem)
             if status is not None:
                 out.append(status)

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.store import ResultStore
-from repro.obs.stream import read_stream
+from repro.obs.trace import LogReader
 
 pytestmark = pytest.mark.campaign
 
@@ -138,8 +138,8 @@ def test_three_workers_survive_a_sigkill(campaign_dir):
     )
     assert finalized == 1
 
-    # The shared stream file interleaves every worker's tagged samples.
-    samples = read_stream(Path(str(store) + ".stream.jsonl"))
+    # Every worker logs its own samples under <store>.trace/.
+    samples = LogReader(store).refresh().samples()
     stream_workers = {s.get("worker") for s in samples if s.get("worker")}
     assert len(stream_workers) >= 2
 

@@ -4,21 +4,22 @@ The acceptance scenario for the profiling PR, mirroring the trace e2e:
 an :class:`AnalysisServer` running with ``--profile`` accepts a traced
 ``/v1/stability_map`` request and spills it to a prepared job; a separate
 ``repro campaign worker`` process drains the plan with
-``REPRO_OBS_PROFILE=1``.  The worker samples itself and flushes its shard
-to ``<store>.profile/<worker>.json``; the server flushes its own capture
-to ``--profile-log``.  The collector merges both and the test asserts:
+``REPRO_OBS=profile``.  The worker samples itself and appends its profile
+deltas to its telemetry log, ``<store>.trace/<worker>.jsonl``; the server
+appends its own to its ``--trace-log``.  The collector merges both and
+the test asserts:
 
-* the worker shard exists, parses, and recorded CPU samples,
+* the worker's deltas exist, parse, and recorded CPU samples,
 * at least one sample attributes to a ``dense_grid``/``evaluate`` span
   path carrying the client's ``trace_id`` — the samples tell the same
   story as the trace, and
-* ``repro obs profile`` merges shards + serve capture into collapsed
-  text and a flamegraph HTML artifact.
+* ``repro obs profile`` merges the worker's and the server's deltas into
+  collapsed text and a flamegraph HTML artifact.
 
 ``--basetemp dist-artifacts/profile`` in CI pins ``tmp_path`` where the
 artifact upload and the ``repro obs profile`` merge step expect the
-files: ``<basetemp>/<test>0/jobs/<job>.jsonl`` (and its ``.profile/``
-sibling) plus ``<basetemp>/<test>0/serve.profile.json``.
+files: ``<basetemp>/<test>0/jobs/<job>.jsonl`` (and its ``.trace/``
+sibling) plus ``<basetemp>/<test>0/serve.trace.jsonl``.
 """
 
 import asyncio
@@ -33,6 +34,7 @@ import pytest
 from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.obs import profile as obs_profile
+from repro.obs.trace import LogReader
 from repro.serve import AnalysisServer, ServerConfig
 
 pytestmark = pytest.mark.campaign
@@ -82,7 +84,7 @@ def _spill_request(tmp_path):
         job_lease_batch=6,
         profile=True,
         profile_hz=397,
-        profile_log=str(tmp_path / "serve.profile.json"),
+        trace_log=str(tmp_path / "serve.trace.jsonl"),
     )
 
     async def main():
@@ -97,15 +99,14 @@ def _spill_request(tmp_path):
                 headers={"traceparent": CLIENT_PARENT},
             )
         finally:
-            await server.stop()  # stops the profiler, flushing the final shard
+            await server.stop()  # stops the profiler, flushing the final delta
 
     return asyncio.run(main())
 
 
 def _spawn_worker(store):
     env = dict(os.environ)
-    env["REPRO_OBS"] = "1"
-    env["REPRO_OBS_PROFILE"] = "1"
+    env["REPRO_OBS"] = "profile"
     env["REPRO_OBS_PROFILE_HZ"] = "397"  # dense sampling keeps the test short
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -126,10 +127,10 @@ def test_profile_attributes_samples_across_processes(tmp_path, capsys):
     store = tmp_path / "jobs" / f"{body['job_id']}.jsonl"
     assert store.exists(), "prepare-only spill must create the store"
 
-    # The server's own profiler flushed a capture on stop.
-    serve_profile = tmp_path / "serve.profile.json"
-    serve_prof = obs_profile.read_profile(serve_profile)
-    assert serve_prof is not None and serve_prof["kind"] == "profile"
+    # The server's own profiler flushed its deltas into its log on stop.
+    serve_log = tmp_path / "serve.trace.jsonl"
+    serve_deltas = LogReader(logs=[serve_log]).refresh().profiles()
+    assert serve_deltas and serve_deltas[0]["kind"] == "profile"
 
     # -- one lease worker drains the plan while sampling itself
     proc = _spawn_worker(store)
@@ -138,11 +139,11 @@ def test_profile_attributes_samples_across_processes(tmp_path, capsys):
     merged_status = ResultStore.open(store).merged_status()
     assert merged_status["complete"], merged_status
 
-    shards = obs_profile.load_store_profiles(store)
-    assert shards, "worker must flush a shard to <store>.profile/"
-    merged = obs_profile.merge_profiles(shards + [serve_prof])
+    deltas = LogReader(store).refresh().profiles()
+    assert deltas, "worker must flush deltas to its <store>.trace/ log"
+    merged = obs_profile.merge_profiles(deltas + serve_deltas)
     assert merged["samples"] > 0, "no samples despite 6 x 300-point cells"
-    assert merged["workers"], "shards must carry worker identities"
+    assert merged["workers"], "deltas must carry worker identities"
 
     # -- acceptance: samples attribute to the evaluation spans AND the
     #    client's trace id, with no flag hand-off beyond the lease plan.
@@ -155,12 +156,12 @@ def test_profile_attributes_samples_across_processes(tmp_path, capsys):
         "evaluation samples must carry the request's trace id"
     )
 
-    # -- the collector merges shards + serve capture into artifacts
+    # -- the collector merges worker and serve deltas into artifacts
     html = tmp_path / "flamegraph.html"
     out_txt = tmp_path / "profile.txt"
     code = main([
         "obs", "profile", str(store),
-        "--serve-profile", str(serve_profile),
+        "--serve-log", str(serve_log),
         "--out", str(out_txt), "--html", str(html), "--top", "3",
     ])
     assert code == 0

@@ -24,6 +24,7 @@ from repro.pll.poles import dominant_pole, find_closed_loop_poles
 from repro.simulator.engine import BehavioralPLLSimulator, SimulationConfig
 from repro.signals.isf import ImpulseSensitivity
 from repro.simulator.floquet import floquet_multipliers
+from tests.pairing import pair_nearest
 
 W0 = 2 * np.pi
 
@@ -36,19 +37,15 @@ def designer(ratio):
 class TestThreeWayIdentity:
     def test_s_domain_vs_z_domain(self, ratio):
         pll = designer(ratio)
-        s_mult = np.sort_complex(
-            np.array([p.multiplier for p in find_closed_loop_poles(pll)])
-        )
-        z_poles = np.sort_complex(closed_loop_z(sampled_open_loop(pll)).poles())
-        assert np.allclose(s_mult, z_poles, atol=1e-9)
+        s_mult = np.array([p.multiplier for p in find_closed_loop_poles(pll)])
+        z_poles = closed_loop_z(sampled_open_loop(pll)).poles()
+        assert np.allclose(*pair_nearest(s_mult, z_poles), atol=1e-9)
 
     def test_s_domain_vs_floquet(self, ratio):
         pll = designer(ratio)
-        s_mult = np.sort_complex(
-            np.array([p.multiplier for p in find_closed_loop_poles(pll)])
-        )
-        flo = np.sort_complex(floquet_multipliers(pll).multipliers)
-        assert np.allclose(s_mult, flo, atol=2e-3)
+        s_mult = np.array([p.multiplier for p in find_closed_loop_poles(pll)])
+        flo = floquet_multipliers(pll).multipliers
+        assert np.allclose(*pair_nearest(s_mult, flo), atol=2e-3)
 
 
 @pytest.mark.parametrize("ratio", [0.05, 0.1])
@@ -64,9 +61,9 @@ def test_lptv_s_domain_vs_floquet(ratio):
     )
     poles = find_closed_loop_poles(pll)
     assert all(p.residual < 1e-9 for p in poles)
-    s_mult = np.sort_complex(np.array([p.multiplier for p in poles]))
-    flo = np.sort_complex(floquet_multipliers(pll).multipliers)
-    assert np.allclose(s_mult, flo, atol=2e-3)
+    s_mult = np.array([p.multiplier for p in poles])
+    flo = floquet_multipliers(pll).multipliers
+    assert np.allclose(*pair_nearest(s_mult, flo), atol=2e-3)
 
 
 class TestPhysicalDecayRate:

@@ -5,8 +5,8 @@ would: an :class:`AnalysisServer` receives a ``/v1/stability_map`` request
 carrying a W3C ``traceparent``, spills it to a prepared (not autostarted)
 campaign job, and two **separate** ``repro campaign worker`` processes
 drain the lease plan.  The collector then merges the server's span log
-with both workers' shards into one Chrome trace and the test asserts the
-whole story hangs off the client's single ``trace_id``:
+with both workers' telemetry logs into one Chrome trace and the test
+asserts the whole story hangs off the client's single ``trace_id``:
 
 * the 202 response echoes the request id and propagates the trace id,
 * both worker processes inherit the context from the frozen lease plan
@@ -137,7 +137,7 @@ def test_trace_spans_three_processes(tmp_path):
     assert store.exists(), "prepare-only spill must create the store"
 
     serve_log = tmp_path / "serve.trace.jsonl"
-    serve_events = obs_trace.read_trace_events(serve_log)
+    serve_events = obs_trace.LogReader(logs=[serve_log]).refresh().spans()
     assert {e["trace_id"] for e in serve_events} == {TRACE_ID}
     assert any(e["name"] == "serve.job.spill" for e in serve_events)
 
@@ -150,7 +150,7 @@ def test_trace_spans_three_processes(tmp_path):
     assert merged["complete"], merged
 
     # -- every worker span carries the client's trace id, via plan only
-    worker_events = obs_trace.load_store_events(store)
+    worker_events = obs_trace.LogReader(store).refresh().spans()
     assert worker_events, "workers recorded no span events"
     assert {e["trace_id"] for e in worker_events} == {TRACE_ID}
     lanes = {e["worker"] for e in worker_events if e["name"] == "lease.worker"}
@@ -167,6 +167,15 @@ def test_trace_spans_three_processes(tmp_path):
         (ev["pid"], ev["tid"]) for ev in slices if ev["name"] == "lease.worker"
     }
     assert len(worker_lanes) == 2
+    # the workers' samples become heartbeat instants and progress counters
+    assert any(
+        ev["ph"] == "i" and ev["name"].startswith("heartbeat/")
+        for ev in doc["traceEvents"]
+    )
+    assert any(
+        ev["ph"] == "C" and ev["name"] == "campaign.progress"
+        for ev in doc["traceEvents"]
+    )
     buckets = doc["criticalPath"]["buckets"]
     assert set(buckets) >= {"queue", "evaluate", "spill", "lease_reclaim"}
     assert buckets["evaluate"]["seconds"] > 0.0

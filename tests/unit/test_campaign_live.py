@@ -6,11 +6,11 @@ The ISSUE 5 acceptance criteria live here:
   threshold produces a ``campaign.worker_stalled`` health event and a
   straggler flag in telemetry, serially and with two lease workers; a
   clean run produces neither;
-* **kill-resume demo** — a two-worker run with heartbeats + stream enabled
-  is SIGKILLed mid-run; ``repro campaign watch --once`` renders sane state
-  from the torn files, ``resume_campaign`` verifies the manifest, reclaims
-  the dead workers' leases at once (well inside the lease ttl), and the
-  resumed run completes with a continuous stream timeline;
+* **kill-resume demo** — a two-worker run logging samples is SIGKILLed
+  mid-run; ``repro campaign watch --once`` renders sane state from the
+  torn files, ``resume_campaign`` verifies the manifest, reclaims the dead
+  workers' leases at once (well inside the lease ttl), and the resumed
+  run completes with a continuous sample timeline;
 * **progress-callback isolation** — the callback sees every record with
   live telemetry, and a raising callback is counted, never fatal;
 * **timeout degradation** — when SIGALRM cannot be armed the record is
@@ -39,9 +39,9 @@ from repro.campaign.executor import _run_point
 from repro.campaign.store import ResultStore, shard_dir
 from repro.obs import manifest as obs_manifest
 from repro.obs import spans as obs
-from repro.obs import stream as obs_stream
 from repro.obs.heartbeat import heartbeat_dir
 from repro.obs.report import load_snapshot
+from repro.obs.trace import LogReader
 
 pytestmark = pytest.mark.campaign
 
@@ -166,6 +166,10 @@ class TestStallDetection:
         store = tmp_path / "r.jsonl"
         run_campaign(_spec(quick_task), store, policy=_stall_policy())
         assert not heartbeat_dir(store).exists()
+        # The log keeps the samples; the last one says the worker stopped.
+        samples = LogReader(store).refresh().samples()
+        assert samples[-1]["phase"] == "stopped"
+        assert samples[-1]["done"] == 8
 
     def test_no_heartbeats_when_interval_none(self, tmp_path):
         store = tmp_path / "r.jsonl"
@@ -174,6 +178,7 @@ class TestStallDetection:
         )
         assert result.telemetry.stalls == 0
         assert not heartbeat_dir(store).exists()
+        assert LogReader(store).refresh().samples() == []
 
 
 class TestProgressCallback:
@@ -294,7 +299,7 @@ spec = CampaignSpec.create(
     task=slow_task,
 )
 run_campaign(spec, sys.argv[1], workers=2, heartbeat_interval=0.1,
-             stream_interval=0.1, checkpoint_every=1)
+             checkpoint_every=1)
 """
 
 
@@ -315,7 +320,6 @@ class TestKillResumeDemo:
                 filter(None, ["src", os.environ.get("PYTHONPATH", "")])
             ),
             REPRO_OBS="1",
-            REPRO_OBS_STREAM="1",
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", _KILL_CHILD, str(store)],
@@ -346,11 +350,9 @@ class TestKillResumeDemo:
             proc.wait(timeout=10)
             proc.stderr.close()
 
-        # The corpse: torn store tail is possible, heartbeats + stream remain.
-        assert heartbeat_dir(store).exists()
-        stream_file = obs_stream.stream_path(store)
-        pre_kill_samples = obs_stream.read_stream(stream_file)
-        assert pre_kill_samples, "stream should have samples from before the kill"
+        # The corpse: torn store tail is possible, the workers' logs remain.
+        pre_kill_samples = LogReader(store).refresh().samples()
+        assert pre_kill_samples, "logs should have samples from before the kill"
 
         # watch --once renders sane state from the torn files via the CLI.
         from repro.cli import main
@@ -366,15 +368,13 @@ class TestKillResumeDemo:
 
         # Resume: manifest verified (no drift -> no mismatch notes), the
         # dead workers' leases reclaimed at once (the ttl is the default
-        # 30 s), the run completes, and the stream timeline continues.
+        # 30 s), the run completes, and the sample timeline continues.
         started = time.monotonic()
         result = resume_campaign(
             store,
             task=slow_task,
             workers=2,
             heartbeat_interval=0.1,
-            stream_path=stream_file,
-            stream_interval=0.1,
         )
         assert time.monotonic() - started < ExecutionPolicy().lease_ttl
         t = result.telemetry
@@ -386,15 +386,16 @@ class TestKillResumeDemo:
         manifest = obs_manifest.load_manifest(obs_manifest.manifest_path(store))
         assert manifest["runs"] == 2
 
-        # Every lease worker streams its own timeline into the one file.
-        samples = obs_stream.read_stream(stream_file)
+        # Every lease worker logs its own timeline into its own log.
+        samples = LogReader(store).refresh().samples()
         assert len(samples) > len(pre_kill_samples)
         assert all({"seq", "time", "done", "worker"} <= set(s) for s in samples)
         timelines: dict = {}
         for sample in samples:
             timelines.setdefault(sample["worker"], []).append(sample["time"])
         assert all(times == sorted(times) for times in timelines.values())
-        resumed = samples[len(pre_kill_samples):]
+        killed = {s["worker"] for s in pre_kill_samples}
+        resumed = [s for s in samples if s["worker"] not in killed]
         assert min(s["time"] for s in resumed) >= max(
             s["time"] for s in pre_kill_samples
         )
@@ -406,4 +407,7 @@ class TestKillResumeDemo:
         status = campaign_status(store)
         assert status["complete"] is True
         assert max(ResultStore.open(store).terminal_record_counts().values()) == 1
-        assert not heartbeat_dir(store).exists()  # cleaned by the clean finish
+        # the resumed workers stopped cleanly; the killed ones never did
+        assert all(s["phase"] == "stopped" for s in finals.values())
+        last = {s["worker"]: s for s in samples}
+        assert all(last[w]["phase"] != "stopped" for w in killed)

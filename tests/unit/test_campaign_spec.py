@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.campaign.spec import (
     canonical_params,
     point_id,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestPointId:
@@ -48,8 +51,8 @@ class TestPointId:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": "12345"},
-            cwd="/root/repo",
+            env={"PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "12345"},
+            cwd=ROOT,
             check=True,
         )
         assert out.stdout.strip() == expected

@@ -1,8 +1,8 @@
 """Unit tests for the live-telemetry obs modules.
 
-Covers ``repro.obs.heartbeat`` (atomic beats, tolerant reads, emitter
-lifecycle), ``repro.obs.stream`` (JSONL time-series, torn-line tolerance,
-fault injection: a raising sampler is swallowed + counted),
+Covers ``repro.obs.heartbeat`` (the sampler: samples in the telemetry
+log, point state, fault injection: a raising sample source is swallowed +
+counted), the log reader of ``repro.obs.trace`` (torn-line tolerance),
 ``repro.obs.resources`` (RSS probes, memory budget sentinel), and
 ``repro.obs.manifest`` (build/write/load/check round-trip).
 """
@@ -15,6 +15,7 @@ import pytest
 
 from repro.obs import heartbeat, manifest, resources, stream
 from repro.obs import spans as obs
+from repro.obs.trace import LogReader
 
 
 @pytest.fixture(autouse=True)
@@ -23,9 +24,13 @@ def _obs_reset():
     obs.disable()
     obs.reset()
     yield
-    heartbeat.stop_emitter()
+    heartbeat.point_finished()
     (obs.enable if was_enabled else obs.disable)()
     obs.reset()
+
+
+def _samples(log):
+    return LogReader(logs=[log]).refresh().samples()
 
 
 # -- heartbeat ---------------------------------------------------------------------
@@ -33,48 +38,60 @@ def _obs_reset():
 
 class TestHeartbeat:
     def test_emitter_writes_beat_for_this_pid(self, tmp_path):
-        directory = tmp_path / "beats"
-        heartbeat.ensure_emitter(directory, interval=10.0)
-        beats = heartbeat.read_heartbeats(directory)
+        log = tmp_path / "r.jsonl.trace" / "w.jsonl"
+        sampler = heartbeat.Sampler(log, dict, interval=10.0)
+        sampler.start()
+        try:
+            beats = _samples(log)
+        finally:
+            sampler.stop()
         assert [b["pid"] for b in beats] == [os.getpid()]
         beat = beats[0]
-        assert beat["kind"] == "heartbeat"
+        assert beat["kind"] == "sample"
         assert beat["phase"] == "idle"
         assert beat["rss_bytes"] > 0
 
     def test_point_phase_round_trip(self, tmp_path):
-        directory = tmp_path / "beats"
+        log = tmp_path / "w.jsonl"
         heartbeat.point_started("abc123")
-        heartbeat.ensure_emitter(directory, interval=10.0)
-        (beat,) = heartbeat.read_heartbeats(directory)
+        sampler = heartbeat.Sampler(log, dict, interval=10.0)
+        sampler.start()
+        (beat,) = _samples(log)
         assert beat["phase"] == "point"
         assert beat["point_id"] == "abc123"
         assert beat["point_elapsed"] >= 0.0
         heartbeat.point_finished()
-        errors = heartbeat.stop_emitter()
+        errors = sampler.stop()
         assert errors == 0
-        (final,) = heartbeat.read_heartbeats(directory)
+        final = _samples(log)[-1]
         assert final["phase"] == "stopped"
 
     def test_counters_included_when_obs_enabled(self, tmp_path):
         obs.enable()
         obs.add("campaign.points_processed", 3.0)
-        directory = tmp_path / "beats"
-        heartbeat.ensure_emitter(directory, interval=10.0)
-        (beat,) = heartbeat.read_heartbeats(directory)
+        log = tmp_path / "w.jsonl"
+        sampler = heartbeat.Sampler(log, dict, interval=10.0)
+        sampler.start()
+        sampler.stop()
+        beat = _samples(log)[0]
         assert beat["counters"]["campaign.points_processed"] == 3.0
 
     def test_reader_skips_garbage_files(self, tmp_path):
-        directory = tmp_path / "beats"
+        store = tmp_path / "r.jsonl"
+        directory = store.parent / "r.jsonl.trace"
         directory.mkdir()
-        (directory / "123.json").write_text('{"kind": "heartbeat", "pid": 123, "time": 1.0}')
-        (directory / "456.json").write_text("{torn mid-wri")
-        (directory / "789.json").write_text('["not", "a", "beat"]')
-        beats = heartbeat.read_heartbeats(directory)
+        (directory / "123.jsonl").write_text(
+            '{"kind": "sample", "pid": 123, "time": 1.0}\n'
+        )
+        (directory / "456.jsonl").write_text("{torn mid-wri")
+        (directory / "789.jsonl").write_text('["not", "a", "beat"]\n')
+        (directory / "000.json").write_text('{"kind": "sample", "pid": 0}\n')
+        beats = LogReader(store).refresh().samples()
         assert [b["pid"] for b in beats] == [123]
 
     def test_missing_directory_reads_empty(self, tmp_path):
-        assert heartbeat.read_heartbeats(tmp_path / "nope") == []
+        log = LogReader(tmp_path / "nope.jsonl").refresh()
+        assert log.samples() == [] and log.spans() == [] and log.profiles() == []
 
     def test_beat_age(self):
         beat = {"time": 100.0}
@@ -86,23 +103,24 @@ class TestHeartbeat:
         assert heartbeat.heartbeat_dir(store) == tmp_path / "run.jsonl.heartbeats"
 
 
-# -- stream ------------------------------------------------------------------------
+# -- samples -----------------------------------------------------------------------
 
 
 class TestStream:
     def test_emits_sequenced_samples(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        emitter = stream.StreamEmitter(path, lambda: {"done": 1}, interval=0.02)
-        emitter.start()
+        log = tmp_path / "w.jsonl"
+        sampler = heartbeat.Sampler(log, lambda: {"done": 1}, interval=0.02)
+        sampler.start()
         time.sleep(0.1)
-        emitter.stop()
-        records = stream.read_stream(path)
+        sampler.stop()
+        records = _samples(log)
         assert len(records) >= 3  # t=0 sample + periodic + final
         assert [r["seq"] for r in records] == list(range(len(records)))
         times = [r["time"] for r in records]
         assert times == sorted(times)
-        assert all(r["kind"] == "stream" and r["done"] == 1 for r in records)
-        assert emitter.errors == 0
+        assert all(r["kind"] == "sample" and r["done"] == 1 for r in records)
+        assert len({r["run"] for r in records}) == 1
+        assert sampler.errors == 0
 
     def test_raising_sampler_swallowed_and_counted(self, tmp_path):
         obs.enable()
@@ -110,34 +128,37 @@ class TestStream:
         def bad_sample():
             raise RuntimeError("boom")
 
-        emitter = stream.StreamEmitter(tmp_path / "m.jsonl", bad_sample, interval=0.02)
-        emitter.start()
+        sampler = heartbeat.Sampler(tmp_path / "m.jsonl", bad_sample, interval=0.02)
+        sampler.start()
         time.sleep(0.08)
-        emitter.stop()
-        assert emitter.errors >= 2  # t=0 + final at minimum
+        errors = sampler.stop()
+        assert errors >= 2  # t=0 + final at minimum
         counters = obs.snapshot()["counters"]
-        assert counters["campaign.stream_errors"]["value"] == emitter.errors
-        assert stream.read_stream(tmp_path / "m.jsonl") == []
+        assert counters["campaign.heartbeat_errors"]["value"] == errors
+        assert _samples(tmp_path / "m.jsonl") == []
 
     def test_read_stream_skips_torn_tail(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(
-            json.dumps({"kind": "stream", "seq": 0}) + "\n"
-            + json.dumps({"kind": "stream", "seq": 1}) + "\n"
-            + '{"kind": "stream", "seq": 2, "tru'  # SIGKILL mid-append
+            json.dumps({"kind": "sample", "seq": 0}) + "\n"
+            + json.dumps({"kind": "sample", "seq": 1}) + "\n"
+            + '{"kind": "sample", "seq": 2, "tru'  # SIGKILL mid-append
         )
-        assert [r["seq"] for r in stream.read_stream(path)] == [0, 1]
+        assert [r["seq"] for r in _samples(path)] == [0, 1]
 
     def test_read_missing_stream_is_empty(self, tmp_path):
-        assert stream.read_stream(tmp_path / "none.jsonl") == []
+        assert _samples(tmp_path / "none.jsonl") == []
 
     def test_requested_env_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_STREAM", raising=False)
-        assert not stream.stream_requested()
-        monkeypatch.setenv("REPRO_OBS_STREAM", "1")
-        assert stream.stream_requested()
-        monkeypatch.setenv("REPRO_OBS_STREAM", "off")
-        assert not stream.stream_requested()
+        from repro.obs import profile
+
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert not profile.profile_requested()
+        monkeypatch.setenv("REPRO_OBS", "1")
+        assert not profile.profile_requested()
+        monkeypatch.setenv("REPRO_OBS", "Profile")
+        assert profile.profile_requested()
+        assert "profile" in obs._LEVELS  # the profile level turns spans on too
 
     def test_default_path_is_next_to_store(self, tmp_path):
         store = tmp_path / "run.jsonl"

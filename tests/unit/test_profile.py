@@ -1,4 +1,4 @@
-"""Sampling profiler: folding, attribution, shards, merge, emitters.
+"""Sampling profiler: folding, attribution, log deltas, merge, emitters.
 
 The live-sampling tests use thread mode (deterministic under pytest and
 identical bucket plumbing); one signal-mode smoke test covers the
@@ -17,16 +17,17 @@ from repro._errors import ValidationError
 from repro.obs import profile
 from repro.obs import spans as obs
 from repro.obs import trace
+from repro.obs.trace import LogReader
 
 
 @pytest.fixture(autouse=True)
 def _clean_profiler():
     """Every test starts and ends with no profiler and no sink."""
     profile.stop()
-    profile._sink_path = None
+    profile.close_sink()
     yield
     profile.stop()
-    profile._sink_path = None
+    profile.close_sink()
     obs.set_profile_paths(None)
     trace.set_profile_traces(None)
 
@@ -49,10 +50,9 @@ def test_disabled_profiler_holds_no_state():
     # Nothing is installed into the span/trace hot paths.
     assert obs._profile_paths is None
     assert trace._profile_traces is None
-    # stop/flush/maybe_flush on a stopped profiler are no-ops.
+    # stop/flush on a stopped profiler are no-ops.
     assert profile.stop() is None
     profile.flush()
-    profile.maybe_flush()
 
 
 def test_span_hot_path_untouched_without_profiler():
@@ -115,9 +115,9 @@ def test_requested_hz_parses_and_clamps(monkeypatch):
     assert profile.requested_hz() == profile.DEFAULT_HZ
     monkeypatch.setenv("REPRO_OBS_PROFILE_HZ", "banana")
     assert profile.requested_hz() == profile.DEFAULT_HZ
-    monkeypatch.setenv("REPRO_OBS_PROFILE", "1")
+    monkeypatch.setenv("REPRO_OBS", "profile")
     assert profile.profile_requested()
-    monkeypatch.setenv("REPRO_OBS_PROFILE", "0")
+    monkeypatch.setenv("REPRO_OBS", "1")
     assert not profile.profile_requested()
 
 
@@ -214,51 +214,96 @@ def test_capture_with_running_profiler_returns_delta():
     assert cap["samples"] >= 0  # delta window, not the cumulative count
 
 
-# -- shard sink -------------------------------------------------------------------
+# -- log sink ---------------------------------------------------------------------
 
 
 def test_sink_round_trip_and_atomicity(tmp_path):
     store = tmp_path / "campaign.jsonl"
-    shard = profile.configure_sink(profile.profile_dir(store), worker="w1")
-    assert shard == store.parent / "campaign.jsonl.profile" / "w1.json"
+    log = profile.configure_sink(trace.log_path(store, "w1"))
+    assert log == store.parent / "campaign.jsonl.trace" / "w1.jsonl"
     profile.start(hz=200, mode="thread")
     _burn(0.2)
     profile.flush()
-    mid = profile.read_profile(shard)
-    assert mid is not None and mid["kind"] == "profile"
-    profile.stop()  # final flush
+    reader = LogReader(store).refresh()
+    (mid,) = reader.profiles()
+    assert mid["kind"] == "profile" and mid["worker"]
+    _burn(0.1)
+    final = profile.stop()  # final flush: the samples since the last one
     profile.close_sink()
-    final = profile.read_profile(shard)
-    assert final["samples"] >= mid["samples"]
-    # No temp files left behind by the atomic rewrite.
-    assert list(shard.parent.glob(".*.tmp")) == []
+    deltas = reader.refresh().profiles()
+    assert deltas[0] == mid
+    # The deltas add up to the final snapshot, bucket by bucket.
+    merged = profile.merge_profiles(deltas)
+    assert merged["samples"] == final["samples"]
+    assert {(e["span"], e["stack"]): e["count"] for e in merged["stacks"]} == {
+        (e["span"], e["stack"]): e["count"] for e in final["stacks"]
+    }
+    # Whole lines only, and no temp files beside the log.
+    assert log.read_text().endswith("\n")
+    assert [p.name for p in log.parent.iterdir()] == ["w1.jsonl"]
     assert not profile.sink_configured()
 
 
+def test_concurrent_flushes_never_count_a_sample_twice(tmp_path):
+    """Sampler ticks and the owner may flush at once; the deltas still add
+    up to the final snapshot."""
+    import sys
+
+    log = profile.configure_sink(tmp_path / "w.jsonl")
+    profile.start(hz=500, mode="thread")
+    stop = threading.Event()
+
+    def flush_loop():
+        while not stop.is_set():
+            profile.flush()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    flushers = [threading.Thread(target=flush_loop) for _ in range(4)]
+    try:
+        for thread in flushers:
+            thread.start()
+        _burn(0.3)
+    finally:
+        stop.set()
+        for thread in flushers:
+            thread.join(timeout=10)
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in flushers)
+    final = profile.stop()
+    merged = profile.merge_profiles(LogReader(logs=[log]).refresh().profiles())
+    assert final["samples"] > 0
+    assert merged["samples"] == final["samples"]
+    assert sum(e["count"] for e in merged["stacks"]) == sum(
+        e["count"] for e in final["stacks"]
+    )
+
+
 def test_configure_sink_json_target_is_used_verbatim(tmp_path):
-    path = profile.configure_sink(tmp_path / "serve.profile.json")
-    assert path == tmp_path / "serve.profile.json"
+    path = profile.configure_sink(tmp_path / "serve.trace.jsonl")
+    assert path == tmp_path / "serve.trace.jsonl"
     profile.close_sink()
 
 
 def test_read_profile_rejects_torn_and_foreign_files(tmp_path):
-    assert profile.read_profile(tmp_path / "missing.json") is None
-    torn = tmp_path / "torn.json"
-    torn.write_text('{"kind": "prof')
-    assert profile.read_profile(torn) is None
-    foreign = tmp_path / "foreign.json"
-    foreign.write_text(json.dumps({"kind": "trace", "spans": []}))
-    assert profile.read_profile(foreign) is None
+    log = tmp_path / "w.jsonl"
+    log.write_text(
+        json.dumps({"kind": "trace", "spans": []}) + "\n"
+        + json.dumps({"kind": "profile", "samples": 2, "stacks": []}) + "\n"
+        + '{"kind": "prof'
+    )
+    reader = LogReader(logs=[log, tmp_path / "missing.jsonl"]).refresh()
+    assert [p["samples"] for p in reader.profiles()] == [2]
 
 
 def test_load_store_profiles_skips_bad_shards(tmp_path):
     store = tmp_path / "c.jsonl"
-    shard_dir = profile.profile_dir(store)
-    shard_dir.mkdir()
+    log_dir = trace.trace_dir(store)
+    log_dir.mkdir()
     good = {"kind": "profile", "samples": 3, "stacks": []}
-    (shard_dir / "a.json").write_text(json.dumps(good))
-    (shard_dir / "b.json").write_text("garbage")
-    profiles = profile.load_store_profiles(store)
+    (log_dir / "a.jsonl").write_text(json.dumps(good) + "\n")
+    (log_dir / "b.jsonl").write_text("garbage\n")
+    profiles = LogReader(store).refresh().profiles()
     assert len(profiles) == 1
     assert profiles[0]["samples"] == 3
 

@@ -2,15 +2,19 @@
 
 import json
 import math
+import threading
 
 import pytest
 
 from repro._errors import ValidationError
-from repro.campaign import CampaignSpec, GridSpace
+from repro.campaign import CampaignSpec, GridSpace, ListSpace
+from repro.campaign.lease import ensure_plan, lease_dir, run_worker
 from repro.campaign.store import ResultStore
+from repro.campaign.watch import poll_store, render
 from repro.cli import main
 from repro.obs import slo
 from repro.obs import spans as obs
+from repro.obs.trace import trace_dir
 
 
 # -- definitions and validation ---------------------------------------------------
@@ -252,10 +256,10 @@ def test_monitor_rings_are_bounded_and_evaluate():
 
 
 def _write_stream(store, samples):
-    lines = [json.dumps(dict(s, kind="stream")) for s in samples]
-    (store.parent / (store.name + ".stream.jsonl")).write_text(
-        "\n".join(lines) + "\n"
-    )
+    """One worker's samples, as its telemetry log under <store>.trace/."""
+    lines = [json.dumps(dict(s, kind="sample", worker="w")) for s in samples]
+    trace_dir(store).mkdir()
+    (trace_dir(store) / "w.jsonl").write_text("\n".join(lines) + "\n")
 
 
 def test_evaluate_store_reads_stream_samples(tmp_path):
@@ -325,3 +329,55 @@ def test_cli_slo_json_and_custom_spec(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [s["name"] for s in payload["slos"]] == ["custom"]
     assert payload["slos"][0]["bad"] == 1.0
+
+
+# -- run-wide counters over several workers -----------------------------------------
+
+_BOTH_CLAIMED = threading.Barrier(2)
+
+
+def _second_batch_fails_30(params):
+    """Hold each worker's first point until both hold a batch; points
+    100-129 (the second batch's first 30) fail."""
+    x = int(params["x"])
+    if x in (0, 100):
+        _BOTH_CLAIMED.wait(timeout=30)
+    if 100 <= x < 130:
+        raise RuntimeError("bad point")
+    return {"y": float(x)}
+
+
+def test_two_workers_sum_their_counters(tmp_path, capsys):
+    """One worker fails 30 of its 100 points, the other none: the run is
+    30 bad of 200, and burns the campaign-success budget."""
+    spec = CampaignSpec.create(
+        name="two-workers",
+        space=ListSpace.of([{"x": float(i)} for i in range(200)]),
+        task=_second_batch_fails_30,
+    )
+    store = tmp_path / "c.jsonl"
+    ResultStore.create(store, spec).close()
+    ensure_plan(lease_dir(store), spec, 100)  # as `campaign init` does
+    reports = {}
+
+    def work(name):
+        reports[name] = run_worker(
+            store, spec=spec, worker=name, heartbeat_interval=0.05, poll_interval=0.02
+        )
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in ("w1", "w2")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert sorted(r.points_failed for r in reports.values()) == [0, 30]
+
+    result = slo.evaluate_store(store)
+    success = next(s for s in result["slos"] if s["name"] == "campaign-success")
+    assert (success["bad"], success["total"]) == (30, 200)
+    assert success["breach"] and result["breach"]
+    stream = poll_store(store)["stream"]
+    assert (stream["done"], stream["failed"], stream["workers"]) == (170, 30, 2)
+    assert "from 2 worker(s)" in render(store)
+    assert main(["obs", "slo", str(store), "--fail-on", "breach"]) == 1
+    assert "bad 30 of 200" in capsys.readouterr().out

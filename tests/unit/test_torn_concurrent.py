@@ -19,7 +19,6 @@ import time
 
 from repro.campaign.spec import CampaignSpec, GridSpace
 from repro.campaign.store import ResultStore
-from repro.obs import stream as obs_stream
 from repro.obs import trace as obs_trace
 
 
@@ -68,10 +67,11 @@ def _hammer(reader, writer, check):
 
 class TestStreamReaderLive:
     def test_read_stream_under_live_writer(self, tmp_path):
-        path = tmp_path / "run.stream.jsonl"
+        path = tmp_path / "w1.jsonl"
 
         def payload(i):
-            return {"seq": i, "echo": i}  # echo lets us catch line mixing
+            # echo lets us catch line mixing
+            return {"kind": "sample", "seq": i, "echo": i, "time": float(i)}
 
         def check(records):
             for record in records:
@@ -79,8 +79,9 @@ class TestStreamReaderLive:
             seqs = [r["seq"] for r in records]
             assert seqs == sorted(seqs)
 
+        reader = obs_trace.LogReader(logs=[path])
         _hammer(
-            lambda: obs_stream.read_stream(path),
+            lambda: reader.refresh().samples(),
             _SplitWriter(path, 300, payload),
             check,
         )
@@ -107,14 +108,15 @@ class TestTraceReaderLive:
                 assert ev["span_id"] == f"{i:016x}"
                 assert ev["start"] == float(i)
 
+        reader = obs_trace.LogReader(logs=[path])
         _hammer(
-            lambda: obs_trace.read_trace_events(path),
+            lambda: reader.refresh().spans(),
             _SplitWriter(path, 300, payload),
             check,
         )
 
     def test_collector_under_live_writer(self, tmp_path):
-        """build_chrome_trace over a store whose shard is mid-append."""
+        """build_chrome_trace over a store whose log is mid-append."""
         store = tmp_path / "r.jsonl"
         shard_dir = obs_trace.trace_dir(store)
         shard_dir.mkdir()

@@ -2,7 +2,7 @@
 
 Covers the tentpole's building blocks in isolation: W3C ``traceparent``
 parsing (malformed headers must never crash a request), the process-global
-span-event sink and its torn-tolerant readers, the Chrome-trace collector's
+telemetry sink and its torn-tolerant log reader, the Chrome-trace collector's
 lane assignment and critical-path buckets, decade-histogram quantile
 estimation, and the Prometheus text rendering consumed by
 ``GET /v1/metricsz``.
@@ -19,6 +19,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.prom import sanitize_metric_name, to_prometheus
 from repro.obs.registry import HistogramStat, ObsRegistry, histogram_quantiles
 from repro.obs.trace import (
+    LogReader,
     TraceContext,
     build_chrome_trace,
     critical_path_summary,
@@ -110,7 +111,7 @@ class TestSink:
             links=[{"trace_id": ctx.trace_id, "span_id": ctx.span_id}],
             status=200,
         )
-        events = obs_trace.read_trace_events(path)
+        events = LogReader(logs=[path]).refresh().spans()
         assert len(events) == 1
         ev = events[0]
         assert ev["name"] == "serve.request/margins"
@@ -133,7 +134,7 @@ class TestSink:
             fh.write("not json\n")
             fh.write('{"kind": "other", "name": "wrong-kind"}\n')
             fh.write('{"kind": "trace_span", "name": "torn", "sta')  # torn tail
-        events = obs_trace.read_trace_events(path)
+        events = LogReader(logs=[path]).refresh().spans()
         assert [ev["name"] for ev in events] == ["good"]
 
     def test_load_store_events_merges_shards_sorted(self, tmp_path):
@@ -143,7 +144,7 @@ class TestSink:
         obs_trace.record_event("late", ctx, 5.0, 6.0)
         obs_trace.configure_sink(obs_trace.trace_dir(store), worker="w1")
         obs_trace.record_event("early", ctx, 1.0, 2.0)
-        events = obs_trace.load_store_events(store)
+        events = LogReader(store).refresh().spans()
         assert [ev["name"] for ev in events] == ["early", "late"]
 
 

@@ -1,6 +1,7 @@
 """Tests for the ``repro campaign watch`` dashboard and CLI path validation."""
 
 import io
+import shutil
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.campaign import CampaignSpec, ListSpace, run_campaign
 from repro.campaign.store import ResultStore
 from repro.campaign.watch import _bar, _eta_seconds, _fmt_bytes, _fmt_seconds, render, watch
 from repro.cli import main
-from repro.obs import stream as obs_stream
+from repro.obs import trace as obs_trace
 
 pytestmark = pytest.mark.campaign
 
@@ -51,7 +52,7 @@ class TestRender:
         assert "COMPLETE" not in frame.splitlines()[0]
         assert "2/6" in frame
         assert "4 pending" in frame
-        assert "workers: no heartbeats found" in frame
+        assert "workers: none live (1 stopped)" in frame
 
     def test_stream_line_and_eta(self, tmp_path):
         store = tmp_path / "r.jsonl"
@@ -59,11 +60,14 @@ class TestRender:
         lines = store.read_text().splitlines()
         points = [ln for ln in lines if '"kind":"point"' in ln]
         store.write_text("\n".join([lines[0]] + points[:3]) + "\n")
-        obs_stream.stream_path(store).write_text(
-            '{"kind":"stream","seq":0,"time":100.0,"done":0,"failed":0,'
-            '"cache_hits":3,"cache_misses":1,"stalls":1}\n'
-            '{"kind":"stream","seq":1,"time":103.0,"done":3,"failed":0,'
-            '"cache_hits":3,"cache_misses":1,"stalls":1}\n'
+        log_dir = obs_trace.trace_dir(store)
+        shutil.rmtree(log_dir)  # the run's own samples; these replace them
+        log_dir.mkdir()
+        (log_dir / "w.jsonl").write_text(
+            '{"kind":"sample","seq":0,"time":100.0,"done":0,"failed":0,'
+            '"cache_hits":3,"cache_misses":1,"stalls":1,"worker":"w"}\n'
+            '{"kind":"sample","seq":1,"time":103.0,"done":3,"failed":0,'
+            '"cache_hits":3,"cache_misses":1,"stalls":1,"worker":"w"}\n'
         )
         frame = render(store)
         assert "stream: 2 sample(s)" in frame

@@ -23,8 +23,9 @@ Protocol invariants
 * **Batches are deterministic.**  Points are partitioned in spec order
   into fixed batches; a batch's id is the blake2b hash of its point ids.
   The partition is frozen into ``plan.json`` by whichever worker gets
-  there first (atomic ``O_CREAT|O_EXCL``), so workers launched with
-  different flags agree on the work units.
+  there first (written aside, published whole with ``link``, which fails
+  if the plan exists), so workers launched with different flags agree on
+  the work units.
 * **Claims are atomic.**  A lease is claimed by exclusive file creation —
   the one filesystem primitive that is atomic essentially everywhere.
   Exactly one concurrent claimer wins.
@@ -173,14 +174,20 @@ def ensure_plan(
         }
         if trace is not None:
             plan["trace"] = trace.to_dict()
+        # Written aside and published with link(), which fails if the plan
+        # exists: a worker arriving at the same moment sees no plan or a
+        # whole one, never a file still being written.
+        tmp = directory / f".plan.{os.getpid()}.{os.urandom(6).hex()}.tmp"
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            with tmp.open("w") as handle:
+                json.dump(plan, handle, sort_keys=True)
+            os.link(tmp, path)
         except FileExistsError:
             pass  # another worker froze it first
         else:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(plan, handle, sort_keys=True)
             return plan
+        finally:
+            tmp.unlink(missing_ok=True)
     with path.open("r") as handle:
         plan = json.load(handle)
     if plan.get("kind") != "lease-plan" or "batches" not in plan:

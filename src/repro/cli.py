@@ -92,7 +92,7 @@ Analysis service (:mod:`repro.serve`)::
 
     python -m repro serve [--host H] [--port P] [--workers N]
                     [--max-inflight N] [--cache-bytes B] [--cache-ttl S]
-                    [--cache-shards N] [--batch-window S]
+                    [--cache-shards N]
                     [--spill-threshold N] [--jobs-dir DIR] [--manifest FILE]
                     [--trace-log FILE] [--no-job-autostart]
                     [--job-lease-batch N]
@@ -505,12 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache entry TTL in seconds (default no expiry)",
     )
     serve_cmd.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        help="micro-batching window in seconds (default 0.005)",
-    )
-    serve_cmd.add_argument(
         "--spill-threshold",
         type=int,
         default=64,
@@ -745,7 +739,7 @@ def _obs_profile(args) -> int:
         print(
             f"{merged['samples']} sample(s) at {merged['hz']} Hz from "
             f"{len(workers)} worker(s) ({merged['clock']} clock), "
-            f"{merged['dropped']} dropped"
+            f"{merged['dropped']} dropped, {merged['parked']} parked"
         )
         for entry in obs_profile.top_frames(merged, n=args.top or 5):
             print(
@@ -831,7 +825,6 @@ def _serve(args) -> int:
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes,
         cache_ttl=args.cache_ttl,
-        batch_window=args.batch_window,
         spill_threshold=args.spill_threshold,
         jobs_dir=args.jobs_dir,
         manifest_path=args.manifest,

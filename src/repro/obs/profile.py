@@ -15,6 +15,10 @@ sampler:
   e.g. an on-demand capture inside a serve worker thread): a daemon
   thread samples all threads at wall-clock ``1/hz``, excluding itself.
 
+Either way, a thread parked in a blocking wait (``Condition.wait`` under
+``Event.wait`` or ``queue.get``, ``Thread.join``, an idle pool worker or
+event loop) contributes no stack: its samples only count in ``parked``.
+
 Every sample is attributed to the *active span path* and *trace context*
 of the sampled thread.  Thread-local span/trace stacks cannot be read
 cross-thread, so :func:`Profiler.start` installs plain ``{thread_id:
@@ -93,6 +97,27 @@ MAX_TRACE_IDS = 8
 
 _OWN_FILE = __file__
 
+#: ``(module, function)`` of the innermost Python frame of a thread parked
+#: in a blocking wait.  Such a thread shows where it sleeps, not where time
+#: goes, so its samples are counted in ``parked`` instead of a stack.
+_PARKED_FRAMES = (
+    ("threading", "wait"),  # Condition.wait: Event.wait, queue.get, Semaphore
+    ("threading", "_wait_for_tstate_lock"),  # Thread.join
+    ("concurrent.futures.thread", "_worker"),  # idle pool worker in queue.get
+    ("selectors", "select"),  # an idle event loop
+)
+
+
+def _parked(frame: Any) -> bool:
+    """Whether a thread's innermost Python frame is a blocking wait."""
+    code = frame.f_code
+    for module, name in _PARKED_FRAMES:
+        if code.co_name == name:
+            loaded = sys.modules.get(module)
+            if loaded is not None and code.co_filename == loaded.__file__:
+                return True
+    return False
+
 
 def profile_requested() -> bool:
     """Whether ``REPRO_OBS=profile`` asks for always-on sampling."""
@@ -159,6 +184,7 @@ class Profiler:
         self.clock = "cpu" if self.mode == "signal" else "wall"
         self.samples = 0
         self.dropped = 0
+        self.parked = 0  # thread stacks skipped because the thread was waiting
         # (span path, stack) -> [count, {trace_id: count}].  Mutated only
         # by the sampler (the signal handler or the sampler thread), so no
         # lock is needed — a lock here could deadlock the signal handler
@@ -203,6 +229,9 @@ class Profiler:
                 # thread's stack; the signal machinery hands us the frame
                 # that was live when the timer fired.
                 frame = current_frame
+            if _parked(frame):
+                self.parked += 1
+                continue
             stack = _frame_stack(frame)
             if stack:
                 self._record(tid, stack)
@@ -287,6 +316,7 @@ class Profiler:
             "clock": self.clock,
             "samples": self.samples,
             "dropped": self.dropped,
+            "parked": self.parked,
             "stacks": [
                 {
                     "span": key[0],
@@ -458,7 +488,7 @@ def merge_profiles(profiles: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     """Merge profiles or deltas: counts sum by ``(span, stack)``, trace ids
     dedup."""
     buckets: dict[tuple[str, str], list] = {}
-    samples = dropped = 0
+    samples = dropped = parked = 0
     workers: set[str] = set()
     hosts: set[str] = set()
     hz: int | None = None
@@ -468,6 +498,7 @@ def merge_profiles(profiles: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         merged_count += 1
         samples += int(profile.get("samples", 0))
         dropped += int(profile.get("dropped", 0))
+        parked += int(profile.get("parked", 0))
         if profile.get("worker"):
             workers.add(str(profile["worker"]))
         if profile.get("host"):
@@ -497,6 +528,7 @@ def merge_profiles(profiles: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         "clock": "+".join(sorted(clocks)) or "cpu",
         "samples": samples,
         "dropped": dropped,
+        "parked": parked,
         "stacks": [
             {"span": key[0], "stack": key[1], "count": bucket[0],
              "trace_ids": bucket[1]}
@@ -539,6 +571,7 @@ def profile_delta(
     out = dict(after)
     out["samples"] = int(after.get("samples", 0)) - int(before.get("samples", 0))
     out["dropped"] = int(after.get("dropped", 0)) - int(before.get("dropped", 0))
+    out["parked"] = int(after.get("parked", 0)) - int(before.get("parked", 0))
     out["stacks"] = stacks
     return out
 
@@ -645,6 +678,9 @@ def to_flamegraph_html(
     dropped = int(profile.get("dropped", 0))
     if dropped:
         meta += f" · {dropped} dropped"
+    parked = int(profile.get("parked", 0))
+    if parked:
+        meta += f" · {parked} parked-thread sample(s) skipped"
     return _FLAMEGRAPH_TEMPLATE.format(
         title=title,
         meta=meta,

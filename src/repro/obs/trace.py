@@ -517,9 +517,9 @@ def run_series(samples: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 #: Maps span-event names onto critical-path buckets.  ``queue`` is time spent
-#: waiting (batch window, idle lease workers), ``evaluate`` is HTM work,
-#: ``spill`` is the job handoff to a campaign store, ``lease_reclaim`` is
-#: distributed-coordination overhead.
+#: waiting (a batch queued behind its key's compute, idle lease workers),
+#: ``evaluate`` is HTM work, ``spill`` is the job handoff to a campaign
+#: store, ``lease_reclaim`` is distributed-coordination overhead.
 CRITICAL_PATH_BUCKETS: dict[str, tuple[str, ...]] = {
     "queue": ("serve.batch.wait", "lease.idle"),
     "evaluate": ("campaign.point", "serve.request", "serve.batch"),

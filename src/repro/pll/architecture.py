@@ -9,6 +9,7 @@ in :mod:`repro.pll.openloop` / :mod:`repro.pll.closedloop`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._errors import ValidationError
 from repro.blocks.chargepump import ChargePump
@@ -63,9 +64,12 @@ class PLL:
         """Reference period ``T`` (seconds)."""
         return self.pfd.period
 
-    @property
+    @cached_property
     def h_lf(self) -> TransferFunction:
-        """Loop-filter block transfer ``H_LF(s) = I_cp Z_LF(s)`` (eq. 21)."""
+        """Loop-filter block transfer ``H_LF(s) = I_cp Z_LF(s)`` (eq. 21).
+
+        Built once per loop: the fields are frozen, so it cannot change.
+        """
         return self.charge_pump.loop_filter_transfer(self.filter_impedance)
 
     @property

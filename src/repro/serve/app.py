@@ -14,6 +14,12 @@ is *parse → fingerprint → cache → batch → encode*:
 4. results stream out through the zero-copy encoder
    (:func:`~repro.serve.protocol.dumps_bytes`).
 
+Every reply a cache entry answers is a prefix fixed by the cache key
+(design echo, fingerprint, grid, values) followed by ``,"cached":false}``
+or ``,"cached":true}``.  A miss encodes its reply whole and its entry keeps
+the computed value; the entry's first hit encodes the prefix once and the
+entry keeps those bytes instead, so every later hit is a byte copy.
+
 Admission control is a plain in-flight counter: past ``max_inflight`` the
 server answers ``429`` with ``Retry-After`` instead of queueing unbounded
 work.  Requests may carry ``deadline_seconds``; a request that cannot
@@ -85,6 +91,9 @@ _STATUS_TEXT = {
     504: "Gateway Timeout",
 }
 
+#: How a cache hit's reply ends; its prefix is the entry's encoded reply.
+_CACHED_TRUE = b',"cached":true}'
+
 
 @dataclasses.dataclass
 class ServerConfig:
@@ -99,8 +108,6 @@ class ServerConfig:
     cache_entries: int = 256  # per shard
     cache_bytes: int | None = None  # total across shards
     cache_ttl: float | None = None  # seconds
-    batch_window: float = 0.005  # micro-batching window, seconds
-    max_batch: int = 64
     spill_threshold: int = 64  # stability-map cells beyond which -> job
     jobs_dir: str | None = None  # None disables the job spill path
     job_workers: int = 1
@@ -185,9 +192,7 @@ class AnalysisServer:
             max_bytes=self.config.cache_bytes,
             ttl_seconds=self.config.cache_ttl,
         )
-        self.batcher = MicroBatcher(
-            window=self.config.batch_window, max_batch=self.config.max_batch
-        )
+        self.batcher = MicroBatcher()
         self.jobs: JobManager | None = (
             JobManager(
                 self.config.jobs_dir,
@@ -747,12 +752,12 @@ class AnalysisServer:
 
     async def _margins(
         self, body: dict[str, Any], ctx: obs_trace.TraceContext | None = None
-    ) -> dict[str, Any]:
+    ) -> dict[str, Any] | bytes:
         return await self._scalar_endpoint("margins", body, ctx)
 
     async def _noise(
         self, body: dict[str, Any], ctx: obs_trace.TraceContext | None = None
-    ) -> dict[str, Any]:
+    ) -> dict[str, Any] | bytes:
         return await self._scalar_endpoint("noise_summary", body, ctx, endpoint="noise")
 
     async def _scalar_endpoint(
@@ -761,7 +766,7 @@ class AnalysisServer:
         body: dict[str, Any],
         ctx: obs_trace.TraceContext | None = None,
         endpoint: str | None = None,
-    ) -> dict[str, Any]:
+    ) -> dict[str, Any] | bytes:
         """Shared scalar path: one metrics dict per design fingerprint.
 
         Scalar batching is pure deduplication — every coalesced waiter
@@ -773,8 +778,13 @@ class AnalysisServer:
         flavor = (endpoint,)
         cached = self.cache.lookup(fingerprint, None, flavor=flavor)
         if cached is not None:
-            self.stats.cache_hits += 1
-            return self._scalar_payload(params, fingerprint, cached, cached=True)
+            return self._hit(
+                fingerprint,
+                None,
+                flavor,
+                cached,
+                lambda metrics: self._scalar_payload(params, fingerprint, metrics),
+            )
         task = campaign_tasks.get_task(task_name)
         compute_ctx = ctx.child() if ctx is not None else None
 
@@ -787,25 +797,45 @@ class AnalysisServer:
             (fingerprint, endpoint), None, compute, trace=ctx
         )
         self.cache.store(fingerprint, None, metrics, flavor=flavor)
-        return self._scalar_payload(params, fingerprint, metrics, cached=False)
+        return dict(
+            self._scalar_payload(params, fingerprint, metrics), cached=False
+        )
+
+    def _hit(
+        self,
+        fingerprint: str,
+        omega: np.ndarray | None,
+        flavor: tuple,
+        cached: Any,
+        payload: Callable[[Any], dict[str, Any]],
+    ) -> bytes:
+        """The reply to a cache hit: the entry's encoded prefix plus the flag.
+
+        ``cached`` is the entry's value, or its prefix once a hit stored
+        one.  ``payload`` builds the reply without its ``cached`` field from
+        the value; its encoding minus the closing brace is the prefix.
+        """
+        self.stats.cache_hits += 1
+        if not isinstance(cached, bytes):
+            cached = dumps_bytes(payload(cached))[:-1]
+            self.cache.store_encoded(fingerprint, omega, cached, flavor=flavor)
+        return cached + _CACHED_TRUE
 
     @staticmethod
     def _scalar_payload(
         params: dict[str, Any],
         fingerprint: str,
         metrics: Mapping[str, float],
-        cached: bool,
     ) -> dict[str, Any]:
         return {
             "design": params,
             "fingerprint": fingerprint,
             "metrics": dict(metrics),
-            "cached": cached,
         }
 
     async def _response(
         self, body: dict[str, Any], ctx: obs_trace.TraceContext | None = None
-    ) -> dict[str, Any]:
+    ) -> dict[str, Any] | bytes:
         """Closed-loop baseband frequency response H00(j omega) on a grid.
 
         The grid endpoint exercises the full micro-batching mechanism:
@@ -821,8 +851,13 @@ class AnalysisServer:
         flavor = ("response",)
         cached = self.cache.lookup(fingerprint, omega, flavor=flavor)
         if cached is not None:
-            self.stats.cache_hits += 1
-            return self._response_payload(params, fingerprint, omega, cached, True)
+            return self._hit(
+                fingerprint,
+                omega,
+                flavor,
+                cached,
+                lambda h00: self._response_payload(params, fingerprint, omega, h00),
+            )
         compute_ctx = ctx.child() if ctx is not None else None
 
         def compute(merged: np.ndarray | None) -> np.ndarray:
@@ -840,7 +875,9 @@ class AnalysisServer:
             (fingerprint, "response"), omega, compute, trace=ctx
         )
         self.cache.store(fingerprint, omega, h00, flavor=flavor)
-        return self._response_payload(params, fingerprint, omega, h00, False)
+        return dict(
+            self._response_payload(params, fingerprint, omega, h00), cached=False
+        )
 
     @staticmethod
     def _response_payload(
@@ -848,7 +885,6 @@ class AnalysisServer:
         fingerprint: str,
         omega: np.ndarray,
         h00: np.ndarray,
-        cached: bool,
     ) -> dict[str, Any]:
         return {
             "design": params,
@@ -856,7 +892,6 @@ class AnalysisServer:
             "points": int(np.asarray(omega).size),
             "omega": omega,
             "h00": h00,
-            "cached": cached,
         }
 
     async def _stability_map(
@@ -904,8 +939,7 @@ class AnalysisServer:
         flavor = ("stability_map",)
         cached = self.cache.lookup(fingerprint, None, flavor=flavor)
         if cached is not None:
-            self.stats.cache_hits += 1
-            return dict(cached, cached=True)
+            return self._hit(fingerprint, None, flavor, cached, dict)
         compute_ctx = ctx.child() if ctx is not None else None
 
         def compute(_merged: np.ndarray | None) -> dict[str, Any]:

@@ -5,12 +5,16 @@ requests are *fingerprint-addressable* (a design's canonical parameters
 hash to the campaign point id), and concurrent clients very often ask
 about the same design — dashboards refreshing, sweeps fanned out over
 HTTP, retries.  Instead of evaluating the same operator stack once per
-request, the :class:`MicroBatcher` holds each arriving request for a short
-batching window (default 5 ms); everything that lands on the same key in
-that window becomes **one** underlying ``evaluate()``/``dense_grid`` call:
+request, the :class:`MicroBatcher` batches continuously: a key with no
+compute in flight opens a batch that starts on the next event-loop tick
+(arrivals in the same tick share it; nothing waits on a timer), and the
+requests that arrive while a key computes join its *next* batch, which
+starts when the current one finishes.  An idle server adds no wait; a
+busy one coalesces everything that queued behind a compute into **one**
+underlying ``evaluate()``/``dense_grid`` call:
 
-* **grid mode** — requests carry frequency grids; the batch leader merges
-  them (``np.unique`` of the concatenation: sorted, de-duplicated), the
+* **grid mode** — requests carry frequency grids; the batch merges them
+  (``np.unique`` of the concatenation: sorted, de-duplicated), the
   compute callable runs once on the merged grid in a worker thread, and
   each waiter gets its slice back via ``searchsorted`` index mapping.  A
   waiter whose grid *is* the merged grid shares the result array directly
@@ -18,14 +22,16 @@ that window becomes **one** underlying ``evaluate()``/``dense_grid`` call:
   points, so merged-grid slices are bitwise identical to a serial
   evaluation of the original grid — asserted by the equivalence tests.
 * **scalar mode** (``omega=None``) — pure deduplication: every waiter
-  shares the single computed result.
+  shares the single computed result, and an arrival while the key
+  computes awaits the result already in flight.
 
 Failure/cancellation semantics: a compute error propagates to every waiter
-of that batch (they asked the same question; they get the same answer).  A
-*cancelled* waiter (client disconnected mid-batch) never poisons the
-batch — remaining waiters still get their results, and a batch whose
-waiters have all been cancelled still completes its compute (the result
-lands in the serve cache, so the work is not wasted).
+of that batch (they asked the same question; they get the same answer),
+and the key's next batch runs as usual.  A *cancelled* waiter (client
+disconnected mid-batch) never poisons the batch — remaining waiters still
+get their results, and a batch whose waiters have all been cancelled
+still completes its compute (the result lands in the serve cache, so the
+work is not wasted).
 
 The batcher is event-loop-confined: all bookkeeping mutations happen on
 the loop thread between awaits, so no locks are needed; only the compute
@@ -92,14 +98,13 @@ class _Waiter:
         self.enqueued = time.time() if trace is not None else 0.0
 
 
-class _PendingBatch:
-    __slots__ = ("key", "compute", "waiters", "flush_event")
+class _Batch:
+    __slots__ = ("key", "compute", "waiters")
 
     def __init__(self, key: Any, compute: Callable[[np.ndarray | None], Any]):
         self.key = key
         self.compute = compute
         self.waiters: list[_Waiter] = []
-        self.flush_event = asyncio.Event()
 
 
 class MicroBatcher:
@@ -107,31 +112,22 @@ class MicroBatcher:
 
     Parameters
     ----------
-    window:
-        Batching window in seconds — how long the first request of a batch
-        waits for company.  Zero still coalesces whatever arrives in the
-        same event-loop tick.
-    max_batch:
-        Waiter count that triggers an immediate flush (latency guard under
-        a thundering herd).
     executor:
         ``concurrent.futures`` executor the compute callables run on
         (``None`` = the loop's default thread pool).
     """
 
-    def __init__(
-        self,
-        window: float = 0.005,
-        max_batch: int = 64,
-        executor=None,
-    ):
-        self.window = float(window)
-        self.max_batch = int(max_batch)
+    def __init__(self, executor=None):
         self.executor = executor
         self.stats = BatchStats()
-        self._pending: dict[Any, _PendingBatch] = {}
+        # Per key: the batch that has not started computing, and the one
+        # computing now.  A key's batches run one at a time, in order.
+        self._pending: dict[Any, _Batch] = {}
+        self._running: dict[Any, _Batch] = {}
+        self._tasks: set[asyncio.Task] = set()
 
     def pending_keys(self) -> list[Any]:
+        """Keys whose next batch has not started computing."""
         return list(self._pending)
 
     async def submit(
@@ -153,57 +149,53 @@ class MicroBatcher:
         to every traced waiter (many requests -> one evaluation).
         """
         loop = asyncio.get_running_loop()
-        batch = self._pending.get(key)
         self.stats.requests += 1
+        batch = self._pending.get(key)
+        if batch is None and omega is None:
+            batch = self._running.get(key)  # share the result in flight
         if batch is None:
-            batch = _PendingBatch(key, compute)
-            self._pending[key] = batch
-            loop.create_task(self._run_batch(batch))
+            batch = self._pending[key] = _Batch(key, compute)
+            if key not in self._running:
+                task = loop.create_task(self._run(key))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
         else:
             self.stats.coalesced += 1
             if obs.enabled():
                 obs.add("serve.batch.coalesced")
         future: asyncio.Future = loop.create_future()
         batch.waiters.append(_Waiter(omega, future, trace))
-        if len(batch.waiters) >= self.max_batch:
-            batch.flush_event.set()
         try:
             return await future
         except asyncio.CancelledError:
             self.stats.cancelled += 1
             raise
 
-    async def _run_batch(self, batch: _PendingBatch) -> None:
-        try:
-            if self.window > 0:
-                try:
-                    await asyncio.wait_for(
-                        batch.flush_event.wait(), timeout=self.window
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await asyncio.sleep(0)
-        finally:
-            # Close the batch *before* computing: late arrivals open a new one.
-            if self._pending.get(batch.key) is batch:
-                del self._pending[batch.key]
+    async def _run(self, key: Any) -> None:
+        """Compute ``key``'s batches back to back until none is pending."""
+        batch = self._pending.pop(key, None)
+        while batch is not None:
+            self._running[key] = batch
+            try:
+                await self._compute(batch)
+            finally:
+                del self._running[key]
+            # Whatever arrived during that compute, merged into one batch.
+            batch = self._pending.pop(key, None)
+
+    async def _compute(self, batch: _Batch) -> None:
         self.stats.batches += 1
         self.stats.underlying_calls += 1
         if obs.enabled():
             obs.add("serve.batch.underlying")
             obs.add("serve.batch.size", float(len(batch.waiters)))
-        merged = self._merge([w.omega for w in batch.waiters])
-        if merged is not None:
-            self.stats.merged_points += int(merged.size)
-        traced = (
-            [w for w in batch.waiters if w.trace is not None]
-            if obs_trace.sink_configured()
-            else []
-        )
-        compute_start = time.time() if traced else 0.0
+        tracing = obs_trace.sink_configured()
+        compute_start = time.time() if tracing else 0.0
         loop = asyncio.get_running_loop()
         try:
+            merged = self._merge([w.omega for w in batch.waiters])
+            if merged is not None:
+                self.stats.merged_points += int(merged.size)
             result = await loop.run_in_executor(
                 self.executor, batch.compute, merged
             )
@@ -215,13 +207,15 @@ class MicroBatcher:
                 if not waiter.future.done():
                     waiter.future.set_exception(exc)
             return
+        # Read after the compute: scalar-mode arrivals join while it runs.
+        traced = [w for w in batch.waiters if w.trace is not None] if tracing else []
         if traced:
             self._record_batch_trace(batch, traced, compute_start)
         self._deliver(batch, merged, result)
 
     @staticmethod
     def _record_batch_trace(
-        batch: _PendingBatch, traced: list[_Waiter], compute_start: float
+        batch: _Batch, traced: list[_Waiter], compute_start: float
     ) -> None:
         """One batch span (child of the first traced waiter) with fan-in links.
 
@@ -270,7 +264,7 @@ class MicroBatcher:
         return np.unique(np.concatenate(arrays))
 
     def _deliver(
-        self, batch: _PendingBatch, merged: np.ndarray | None, result: Any
+        self, batch: _Batch, merged: np.ndarray | None, result: Any
     ) -> None:
         if isinstance(result, np.ndarray):
             result = np.asarray(result)

@@ -13,7 +13,9 @@ a long-lived server must bound both memory and staleness.
 Values are either numpy arrays (byte-accounted via ``nbytes``) or, for the
 scalar endpoints, :class:`Payload`-wrapped JSON-able dicts whose ``nbytes``
 is estimated from their encoded size — so the byte budget is honest across
-both shapes.
+both shapes.  Once an entry is hit, the server swaps its value for the
+encoded reply (:meth:`ShardedGridCache.store_encoded`), which then counts
+by its length.
 """
 
 from __future__ import annotations
@@ -52,16 +54,41 @@ class _FingerprintKey:
 
 
 class Payload:
-    """A non-array cache value with an explicit byte-size estimate."""
+    """A non-array cache value with an explicit byte-size estimate.
+
+    Without ``nbytes`` the size is estimated from the value's JSON length.
+    """
 
     __slots__ = ("value", "nbytes")
 
-    def __init__(self, value: Any):
+    def __init__(self, value: Any, nbytes: int | None = None):
         self.value = value
-        try:
-            self.nbytes = len(json.dumps(value, default=str))
-        except (TypeError, ValueError):
-            self.nbytes = 0
+        if nbytes is None:
+            try:
+                nbytes = len(json.dumps(value, default=str))
+            except (TypeError, ValueError):
+                nbytes = 0
+        self.nbytes = nbytes
+
+
+class _Shard(GridEvalCache):
+    """A :class:`GridEvalCache` whose live entries can change value in place."""
+
+    def replace(
+        self, operator, s_arr: np.ndarray, value: Any, flavor: tuple | None = None
+    ) -> None:
+        """Swap a live entry's value, keeping its insertion time (the TTL
+        clock); the byte budget re-counts the entry, evicting the least
+        recently used others if it is now exceeded.  No entry: no-op."""
+        key = self._key(operator, s_arr, 0, flavor)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return
+            _old, pin, stored_at = entry
+            # Evicts only older entries, never the one just stored.
+            self._store_locked(key, value, pin)
+            self._entries[key] = (value, pin, stored_at)
 
 
 class ShardedGridCache:
@@ -79,7 +106,7 @@ class ShardedGridCache:
             None if max_bytes is None else max(int(max_bytes) // shards, 1)
         )
         self._shards = tuple(
-            GridEvalCache(
+            _Shard(
                 maxsize=maxsize,
                 max_bytes=per_shard_bytes,
                 ttl_seconds=ttl_seconds,
@@ -98,7 +125,7 @@ class ShardedGridCache:
             value = sum(str(fingerprint).encode())
         return value % len(self._shards)
 
-    def _shard(self, fingerprint: str) -> GridEvalCache:
+    def _shard(self, fingerprint: str) -> _Shard:
         return self._shards[self.shard_index(fingerprint)]
 
     @staticmethod
@@ -111,7 +138,11 @@ class ShardedGridCache:
         omega: np.ndarray | None,
         flavor: tuple | None = None,
     ) -> Any | None:
-        """Cached value for ``(fingerprint, omega, flavor)`` or ``None``."""
+        """Cached value for ``(fingerprint, omega, flavor)`` or ``None``.
+
+        An entry given its encoded reply (:meth:`store_encoded`) returns
+        those ``bytes``.
+        """
         value = self._shard(fingerprint).lookup(
             _FingerprintKey(fingerprint), self._omega(omega), 0, flavor=flavor
         )
@@ -132,6 +163,26 @@ class ShardedGridCache:
             self._omega(omega),
             0,
             value,
+            flavor=flavor,
+        )
+
+    def store_encoded(
+        self,
+        fingerprint: str,
+        omega: np.ndarray | None,
+        prefix: bytes,
+        flavor: tuple | None = None,
+    ) -> None:
+        """Keep an entry's encoded reply in place of its value.
+
+        Later lookups return ``prefix``; the byte budget counts its length,
+        and the entry keeps its TTL clock.  An entry evicted or expired
+        since the lookup is not stored again.
+        """
+        self._shard(fingerprint).replace(
+            _FingerprintKey(fingerprint),
+            self._omega(omega),
+            Payload(prefix, len(prefix)),
             flavor=flavor,
         )
 

@@ -179,6 +179,49 @@ class TestPlan:
         second = lease.ensure_plan(d, spec, batch_size=1)
         assert second == first
 
+    def test_concurrent_first_workers_all_get_the_whole_plan(self, tmp_path):
+        """Workers starting together on an unplanned store never read a
+        half-written plan: none raises and all return the same plan."""
+        import sys
+        import threading
+
+        spec = CampaignSpec.create(
+            name="p",
+            space=ListSpace.of([{"x": float(i)} for i in range(400)]),
+            task="margins",
+        )
+        threads = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(40):
+                d = tmp_path / f"r{round_}.jsonl.leases"
+                barrier = threading.Barrier(threads, timeout=30.0)
+                plans, errors = [], []
+
+                def worker(batch_size):
+                    barrier.wait()
+                    try:
+                        plans.append(lease.ensure_plan(d, spec, batch_size=batch_size))
+                    except Exception as exc:  # noqa: BLE001 - the assertion below
+                        errors.append(exc)
+
+                pool = [
+                    threading.Thread(target=worker, args=(i + 1,))
+                    for i in range(threads)
+                ]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in pool)
+                assert errors == []
+                assert len(plans) == threads
+                assert all(plan == plans[0] for plan in plans)
+                assert [p.name for p in d.iterdir()] == ["plan.json"]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_plan_rejects_foreign_json(self, tmp_path):
         d = tmp_path / "r.jsonl.leases"
         d.mkdir()

@@ -38,6 +38,27 @@ class TestPLL:
         s = 0.3j
         assert pll.h_lf(s) == pytest.approx(1e-3 * pll.filter_impedance(s))
 
+    def test_h_lf_is_built_once_per_loop(self):
+        pll = make_pll()
+        assert pll.h_lf is pll.h_lf
+        s = 1j * np.linspace(0.05, 3.0, 9) * W0
+        fresh = pll.charge_pump.loop_filter_transfer(pll.filter_impedance)
+        assert np.asarray(pll.h_lf(s)).tobytes() == np.asarray(fresh(s)).tobytes()
+
+    def test_closed_loop_builds_h_lf_once(self, monkeypatch):
+        from repro.pll.closedloop import ClosedLoopHTM
+
+        calls = []
+        build = ChargePump.loop_filter_transfer
+
+        def counted(self, impedance):
+            calls.append(1)
+            return build(self, impedance)
+
+        monkeypatch.setattr(ChargePump, "loop_filter_transfer", counted)
+        ClosedLoopHTM(make_pll())
+        assert len(calls) == 1
+
     def test_fundamental_mismatch_rejected(self):
         filt = SeriesRCShuntCFilter.from_pole_zero(0.1 * W0, 1.6 * W0, 1e-3)
         with pytest.raises(ValidationError):

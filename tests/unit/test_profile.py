@@ -137,6 +137,30 @@ def test_thread_mode_samples_busy_work():
         assert "profile._collect" not in entry["stack"]
 
 
+def test_parked_threads_are_counted_not_sampled():
+    """A thread sitting in Event.wait adds no stack, only ``parked``."""
+    gate = threading.Event()
+    sleeper = threading.Thread(target=gate.wait, name="parked-in-wait")
+    sleeper.start()
+    try:
+        profile.start(hz=300, mode="thread")
+        _burn(0.3)
+        snap = profile.stop()
+    finally:
+        gate.set()
+        sleeper.join(timeout=10.0)
+    assert not sleeper.is_alive()
+    assert snap["parked"] > 0
+    assert snap["stacks"], "the computing main thread is still sampled"
+    assert any("_burn" in e["stack"] for e in snap["stacks"])
+    for entry in snap["stacks"]:
+        assert entry["stack"].split(";")[-1] != "threading.wait"
+    # Deltas and merges carry the count along.
+    merged = profile.merge_profiles([snap, snap])
+    assert merged["parked"] == 2 * snap["parked"]
+    assert profile.profile_delta(snap, snap)["parked"] == 0
+
+
 def test_signal_mode_samples_cpu_time():
     try:
         profiler = profile.Profiler(hz=500, mode="signal")

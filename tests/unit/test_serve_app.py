@@ -11,10 +11,12 @@ request attaches to and completes without recomputing finished points).
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from repro.campaign import tasks as campaign_tasks
 from repro.campaign.spec import CampaignSpec, GridSpace
 from repro.campaign.store import ResultStore
 from repro.obs import spans as obs
@@ -25,6 +27,12 @@ DESIGN = {"ratio": 0.1, "separation": 4.0, "points": 300}
 
 async def _request(port, method, path, body=None):
     """Minimal HTTP/1.1 client; returns (status, headers, parsed body)."""
+    status, headers, raw = await _raw_request(port, method, path, body)
+    return status, headers, json.loads(raw) if raw else None
+
+
+async def _raw_request(port, method, path, body=None):
+    """Like :func:`_request`, but returns the body's bytes as sent."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = b""
     if body is not None:
@@ -50,7 +58,7 @@ async def _request(port, method, path, body=None):
     for line in lines[1:]:
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    return status, headers, json.loads(rest) if rest else None
+    return status, headers, rest
 
 
 def _run(config, scenario):
@@ -185,7 +193,7 @@ class TestErrorPaths:
                 {"design": DESIGN, "deadline_seconds": 1e-4},
             )
 
-        st, _, body = _run(ServerConfig(port=0, batch_window=0.05), scenario)
+        st, _, body = _run(ServerConfig(port=0), scenario)
         assert st == 504 and body["error"]["code"] == "deadline_exceeded"
 
     def test_jobs_disabled_is_503(self):
@@ -204,21 +212,39 @@ class TestErrorPaths:
 
 
 class TestBackpressure:
-    def test_overload_answers_429_with_retry_after(self):
+    def test_overload_answers_429_with_retry_after(self, monkeypatch):
+        # The first request's task adapter blocks until the second has been
+        # answered, so it is in flight for the whole admission check.
+        margins = campaign_tasks.get_task("margins")
+        started, release = threading.Event(), threading.Event()
+
+        def held_margins(params):
+            started.set()
+            assert release.wait(10.0)
+            return margins(params)
+
+        monkeypatch.setitem(campaign_tasks._REGISTRY, "margins", held_margins)
+
         async def scenario(port, server):
             slow = _request(
                 port, "POST", "/v1/margins", {"design": dict(DESIGN, points=500)}
             )
             slow_task = asyncio.ensure_future(slow)
-            await asyncio.sleep(0.05)  # ensure it is in flight
-            st, headers, body = await _request(
-                port, "POST", "/v1/margins", {"design": {"ratio": 0.08}}
-            )
+            try:
+                for _ in range(2000):  # ensure it is in flight
+                    if started.is_set():
+                        break
+                    await asyncio.sleep(0.005)
+                st, headers, body = await _request(
+                    port, "POST", "/v1/margins", {"design": {"ratio": 0.08}}
+                )
+            finally:
+                release.set()
             slow_st, _, _ = await slow_task
             return st, headers, body, slow_st, server.stats.rejected
 
         st, headers, body, slow_st, rejected = _run(
-            ServerConfig(port=0, max_inflight=1, batch_window=0.3), scenario
+            ServerConfig(port=0, max_inflight=1), scenario
         )
         assert slow_st == 200
         assert st == 429 and body["error"]["code"] == "overloaded"
@@ -265,14 +291,14 @@ class TestCoalescing:
             )
             return bodies, server.batcher.stats
 
-        serial_bodies = _run(ServerConfig(port=0, batch_window=0.0), serial)
+        serial_bodies = _run(ServerConfig(port=0), serial)
 
         obs.reset()
         was_enabled = obs.enabled()
         obs.enable()
         try:
             bodies, stats = _run(
-                ServerConfig(port=0, batch_window=0.1, max_inflight=128),
+                ServerConfig(port=0, max_inflight=128),
                 concurrent,
             )
             counters = obs.snapshot()["counters"]
@@ -294,6 +320,92 @@ class TestCoalescing:
                 a = np.asarray(serial_body["h00"][part])
                 b = np.asarray(concurrent_body["h00"][part])
                 assert a.tobytes() == b.tobytes(), f"grid {i} {part} differs"
+
+
+class TestEncodedReplies:
+    """A hit's reply is the entry's prefix, encoded once, plus the flag."""
+
+    GRID = {"omega": list(np.linspace(0.5, 3.0, 40))}
+    HIT = b',"cached":true}'
+    MISS = b',"cached":false}'
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/response", {"design": DESIGN, "grid": GRID}),
+            ("/v1/margins", {"design": DESIGN}),
+            ("/v1/noise", {"design": {"ratio": 0.1, "points": 48}}),
+            (
+                "/v1/stability_map",
+                {"space": {"separation": [3.0, 4.0]}, "defaults": {"points": 100}},
+            ),
+        ],
+    )
+    def test_hits_after_the_first_do_not_encode(self, monkeypatch, path, body):
+        from repro.serve import app as serve_app
+
+        calls = []
+        encode = serve_app.dumps_bytes
+
+        def counted(obj):
+            calls.append(1)
+            return encode(obj)
+
+        monkeypatch.setattr(serve_app, "dumps_bytes", counted)
+
+        async def scenario(port, server):
+            counts, replies = [], []
+            for _ in range(4):
+                before = len(calls)
+                st, _, raw = await _raw_request(port, "POST", path, body)
+                assert st == 200, raw
+                counts.append(len(calls) - before)
+                replies.append(raw)
+            return counts, replies
+
+        counts, replies = _run(ServerConfig(port=0), scenario)
+        # The miss encodes its reply, the first hit the entry's prefix.
+        assert counts == [1, 1, 0, 0]
+        miss, *hits = replies
+        assert miss.endswith(self.MISS)
+        assert all(hit == miss[: -len(self.MISS)] + self.HIT for hit in hits)
+
+    def test_cache_bytes_count_the_stored_reply_by_length(self):
+        body = {"design": DESIGN, "grid": self.GRID}
+
+        async def scenario(port, server):
+            await _raw_request(port, "POST", "/v1/response", body)
+            after_miss = server.cache.stats()["bytes"]
+            _, _, hit = await _raw_request(port, "POST", "/v1/response", body)
+            return after_miss, hit, server.cache.stats()["bytes"]
+
+        after_miss, hit, after_hit = _run(
+            ServerConfig(port=0, cache_shards=1, cache_bytes=1 << 20), scenario
+        )
+        assert after_miss == 40 * 16  # the complex H00 array
+        assert after_hit == len(hit) - len(self.HIT)
+
+    def test_an_encoded_reply_can_evict_other_entries(self):
+        """Two arrays fit the budget; one array plus one encoded reply not."""
+        first = {"design": DESIGN, "grid": self.GRID}
+        second = {"design": dict(DESIGN, ratio=0.12), "grid": self.GRID}
+
+        async def scenario(port, server):
+            await _raw_request(port, "POST", "/v1/response", second)
+            await _raw_request(port, "POST", "/v1/response", first)
+            full = server.cache.stats()
+            await _raw_request(port, "POST", "/v1/response", first)  # first hit
+            after = server.cache.stats()
+            _, _, again = await _request(port, "POST", "/v1/response", second)
+            return full, after, again
+
+        full, after, again = _run(
+            ServerConfig(port=0, cache_shards=1, cache_bytes=2000), scenario
+        )
+        assert full["entries"] == 2 and full["bytes"] == 2 * 40 * 16
+        assert after["entries"] == 1 and after["evictions"] == 1
+        assert after["bytes"] > 2000  # the one entry left may exceed the budget
+        assert again["cached"] is False
 
 
 class TestJobSpill:

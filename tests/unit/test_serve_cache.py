@@ -98,6 +98,37 @@ class TestPayloadAccounting:
         assert stats["evictions"] >= 3
 
 
+class TestEncodedEntries:
+    def test_encoded_reply_replaces_the_value_and_counts_its_length(self):
+        cache = ShardedGridCache(shards=1)
+        cache.store("ee000000", OMEGA, np.ones(8))
+        assert cache.stats()["bytes"] == 64
+        cache.store_encoded("ee000000", OMEGA, b'{"x":[1.0,2.0]')
+        assert cache.lookup("ee000000", OMEGA) == b'{"x":[1.0,2.0]'
+        stats = cache.stats()
+        assert stats["bytes"] == 14 and stats["entries"] == 1
+
+    def test_encoded_reply_keeps_the_entry_ttl(self, monkeypatch):
+        import repro.core.memo as memo
+
+        clock = [0.0]
+        monkeypatch.setattr(memo.time, "monotonic", lambda: clock[0])
+        cache = ShardedGridCache(shards=1, ttl_seconds=5.0)
+        cache.store("ff000000", None, {"v": 1.0}, flavor=("margins",))
+        clock[0] = 4.0
+        assert cache.lookup("ff000000", None, flavor=("margins",)) == {"v": 1.0}
+        cache.store_encoded("ff000000", None, b'{"v":1.0', flavor=("margins",))
+        clock[0] = 6.0  # past the TTL of the original store, not of the swap
+        assert cache.lookup("ff000000", None, flavor=("margins",)) is None
+        assert cache.stats()["expirations"] == 1
+
+    def test_encoding_a_missing_entry_stores_nothing(self):
+        cache = ShardedGridCache(shards=1)
+        cache.store_encoded("ab000000", OMEGA, b'{"x":1')
+        assert cache.lookup("ab000000", OMEGA) is None
+        assert cache.stats()["entries"] == 0
+
+
 class TestStats:
     def test_merged_counters_and_hit_rate(self):
         cache = ShardedGridCache(shards=2)

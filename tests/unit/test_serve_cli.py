@@ -51,7 +51,6 @@ class TestParser:
                 "--cache-bytes", "1000000",
                 "--cache-ttl", "30",
                 "--cache-shards", "2",
-                "--batch-window", "0.01",
                 "--spill-threshold", "10",
                 "--jobs-dir", "jobs",
                 "--manifest", "m.json",
